@@ -292,15 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            help="worker threads (0 = auto; the desk-scale solver runs single-threaded)",
-        )
+    def add_common(p):
+        p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
 
     p = sub.add_parser("example", help="print the built-in two-slot example scenario")
     p.add_argument("--out", help="write the scenario here instead of stdout")
@@ -347,9 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", 0) < 0:
-        print("error: --threads must be non-negative", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -358,7 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

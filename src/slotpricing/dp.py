@@ -155,7 +155,6 @@ def _lattice_tables(scenario: Scenario) -> tuple[list[tuple[int, ...]], list[tup
 
 
 def _sweep(
-    scenario: Scenario,
     solver: _StageSolver,
     feas: list[tuple[int, ...]],
     nbrs: list[tuple[int, ...]],
@@ -194,7 +193,7 @@ def bellman_apply(scenario: Scenario, v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
     feas, nbrs = _lattice_tables(scenario)
-    return _sweep(scenario, _StageSolver(scenario), feas, nbrs, v)
+    return _sweep(_StageSolver(scenario), feas, nbrs, v)
 
 
 def bellman_residual(scenario: Scenario, v: np.ndarray) -> float:
@@ -229,7 +228,6 @@ def solve_horizon(
     feas, nbrs = _lattice_tables(scenario)
     for t in range(t_bar, 0, -1):
         values[t - 1] = _sweep(
-            scenario,
             solver,
             feas,
             nbrs,

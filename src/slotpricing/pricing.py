@@ -7,15 +7,15 @@ one-step markup
 
 over the admissible price box, where ``p_s`` are the arrival-choice
 probabilities of the open slots. Without the box constraint the optimum has a
-closed form through the Lambert W function; the box-constrained problem is
-solved by coordinate ascent whose one-dimensional steps are themselves exact
-Lambert W evaluations.
+closed form through the Lambert W function. With the box, every slot still
+charges its opportunity cost minus ``net_revenue`` plus one common markup, now
+clamped to the box; the markup has a closed form once the clamped slots are
+known, and those follow from where it falls among the slots' breakpoints.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,13 +23,6 @@ import numpy as np
 
 from .lambertw import lambert_w0
 from .model import ChoiceProbabilities, PriceVector, Scenario
-
-# Seed for the in-box multistart of the constrained solver. Fixed so that
-# repeated solves of the same stage are bit-identical.
-_MULTISTART_SEED = 0x51075EED
-_N_STARTS = 5
-_VALUE_TOL = 1e-12
-_MAX_CYCLES = 100
 
 
 @dataclass(frozen=True)
@@ -148,20 +141,6 @@ def stage_surplus(
     return scenario.arrival_rate * num / den
 
 
-def opportunity_costs_at(
-    scenario: Scenario, state: Sequence[int], v_next: np.ndarray
-) -> OpportunityCosts:
-    """Per-slot opportunity costs of ``state`` under the next-step values."""
-    lat = scenario.lattice
-    ix = lat.index(state)
-    slots = lat.feasible_slots(state)
-    v_next = np.asarray(v_next, dtype=float)
-    return OpportunityCosts(
-        slots=slots,
-        values=tuple(float(v_next[ix] - v_next[ix + lat.strides[s - 1]]) for s in slots),
-    )
-
-
 def stage_objective(
     scenario: Scenario, state: Sequence[int], prices: PriceVector, v_next: np.ndarray
 ) -> float:
@@ -236,16 +215,40 @@ class _StageSolver:
         if all(self.lo <= d <= self.hi for d in d_unc):
             return tuple(d_unc), -lam / bd * w, True
 
-        candidates = [self._ascend(cs, a, [min(max(d, self.lo), self.hi) for d in d_unc])]
-        rng = random.Random(_MULTISTART_SEED)
-        span = self.hi - self.lo
-        for _ in range(_N_STARTS):
-            start = [self.lo + rng.random() * span for _ in slots]
-            candidates.append(self._ascend(cs, a, start))
-        best = max(v for v, _ in candidates)
-        prices = min(p for v, p in candidates if v >= best - _VALUE_TOL)
-        value = next(v for v, p in candidates if p == prices)
-        return prices, value, False
+        # Off the box the optimum is still d_j = clamp(m - a_j) for one markup
+        # m: the unique root of g(m) = surplus/lam - 1/bd - m, positive to its
+        # left and negative to its right. Walking the breakpoints lo + a_j
+        # (slot j leaves lo) and hi + a_j (slot j reaches hi) while g >= 0
+        # finds the interval holding the root, which fixes the clamped slots.
+        lo, hi = self.lo, self.hi
+        breaks = sorted(
+            [(lo + ak, j, None) for j, ak in enumerate(a)]
+            + [(hi + ak, j, hi) for j, ak in enumerate(a)],
+            key=lambda b: b[0],
+        )
+        fixed: list[Optional[float]] = [lo] * len(a)
+        for m, j, d in breaks:
+            if self._value(cs, a, self._clamp(a, m)) / lam - 1.0 / bd - m < 0.0:
+                break
+            fixed[j] = d
+        # For this clamped set, with K = 1 + sum u_k and A = sum u_k (a_k + d_k)
+        # over the clamped slots and y the free slots' weights at markup A/K,
+        # the root is m = A/K - (1 + W(y/K)) / bd.
+        k_sum, a_sum = 1.0, 0.0
+        for c, ak, d in zip(cs, a, fixed):
+            if d is not None:
+                u = math.exp(c + bd * d)
+                k_sum += u
+                a_sum += u * (ak + d)
+        shift = a_sum / k_sum
+        y = sum(
+            math.exp(c + bd * (shift - ak) - 1.0) for c, ak, d in zip(cs, a, fixed) if d is None
+        )
+        prices = self._clamp(a, shift - (1.0 + lambert_w0(y / k_sum)) / bd)
+        return prices, self._value(cs, a, prices), False
+
+    def _clamp(self, a, m) -> tuple[float, ...]:
+        return tuple(min(max(m - ak, self.lo), self.hi) for ak in a)
 
     def _value(self, cs, a, d) -> float:
         num = 0.0
@@ -256,52 +259,15 @@ class _StageSolver:
             den += u
         return self.lam * num / den
 
-    def _ascend(self, cs, a, d) -> tuple[float, tuple[float, ...]]:
-        """Coordinate ascent from ``d``; every coordinate step is exact.
-
-        Along one coordinate the surplus is (A + u(d)*(a_j + d)) / (B + u(d))
-        with u(d) = exp(c_j + bd*d), which rises to a single stationary point
-        and falls beyond it, so its maximum over the box is the stationary
-        point clamped to the box. The stationary point solves
-        u = bd*A - B*(1 + bd*(a_j + d)), a Lambert W evaluation.
-        """
-        bd, lo, hi = self.bd, self.lo, self.hi
-        m = len(d)
-        u = [math.exp(c + bd * dk) for c, dk in zip(cs, d)]
-        val = self._value(cs, a, d)
-        for _ in range(_MAX_CYCLES):
-            for j in range(m):
-                other_num = 0.0
-                other_den = 1.0
-                for k in range(m):
-                    if k != j:
-                        other_num += u[k] * (a[k] + d[k])
-                        other_den += u[k]
-                ratio = bd * other_num / other_den
-                sigma = lambert_w0(math.exp(cs[j] - bd * a[j] - 1.0 + ratio) / other_den)
-                dj = (ratio - sigma - 1.0) / bd - a[j]
-                if dj < lo:
-                    dj = lo
-                elif dj > hi:
-                    dj = hi
-                d[j] = dj
-                u[j] = math.exp(cs[j] + bd * dj)
-            new = self._value(cs, a, d)
-            improved = new - val
-            val = new
-            if improved < _VALUE_TOL:
-                break
-        return val, tuple(d)
-
 
 def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) -> StageSolution:
     """Optimal stage prices and value for one state against next-step values.
 
     With no feasible slot everything is closed and the value is
     ``v_next(state)``. Otherwise every feasible slot is offered: at the
-    closed-form prices when those fall inside the box, else at the constrained
-    optimum found by exact coordinate ascent with an in-box multistart. Ties
-    within 1e-12 resolve to the lexicographically smallest price vector.
+    closed-form prices when those fall inside the box, else at the unique
+    constrained optimum, where every slot charges its opportunity cost minus
+    ``net_revenue`` plus one common markup, clamped to the box.
     """
     lat = scenario.lattice
     ix = lat.index(state)

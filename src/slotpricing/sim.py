@@ -169,7 +169,6 @@ def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy
     feas, nbrs = _lattice_tables(scenario)
     for t in range(1, t_bar + 1):
         stage_values[t - 1] = _sweep(
-            scenario,
             solver,
             feas,
             nbrs,

@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately implemented without touching the library's
-own solution paths: bisection instead of Halley, dense grids instead of the
-coordinate solver, linear programming instead of the pruned enumeration, and
-finite differences instead of closed-form gradients.
+own solution paths: bisection instead of Halley or the breakpoint walk, dense
+grids instead of the stage solver, linear programming instead of the pruned
+enumeration, and finite differences instead of closed-form gradients.
 """
 
 from __future__ import annotations
@@ -99,6 +99,44 @@ def grid_stage_value(scenario, state, v_next, step=1e-3):
     fine = [np.linspace(max(lo, b - step), min(hi, b + step), 201) for b in best]
     surf = _surplus_grid(scenario, slots, gamma, fine)
     return float(v_next[ix]) + float(surf.max())
+
+
+def bisect_stage_markup(scenario, state, v_next):
+    """Stage optimum by bisection on the common markup, any number of slots.
+
+    Every feasible slot is priced ``clip(z_s - net_revenue + m, price_min,
+    price_max)``, where m is the root of ``g(m) = surplus / arrival_rate -
+    1 / beta_price - m``. g is positive at the lower bracket and negative at
+    the upper one (``|surplus / arrival_rate|`` is at most ``bound - 1 -
+    |1 / beta_price|``), and the bisection evaluates g directly, with no
+    breakpoints and no Lambert W. Returns the prices of the feasible slots and
+    the stage value.
+    """
+    lat = scenario.lattice
+    ix = lat.index(state)
+    slots = lat.feasible_slots(state)
+    z = np.array([v_next[ix] - v_next[ix + lat.strides[s - 1]] for s in slots], dtype=float)
+    c = np.array([scenario.beta_const + scenario.slot_betas[s - 1] for s in slots])
+    r, bd = scenario.net_revenue, scenario.beta_price
+    lo, hi = scenario.price_min, scenario.price_max
+
+    def prices(m):
+        return np.clip(z - r + m, lo, hi)
+
+    def surplus(d):
+        u = np.exp(c + bd * d)
+        return scenario.arrival_rate * float(np.sum(u * (r + d - z))) / (1.0 + float(np.sum(u)))
+
+    bound = max(abs(lo), abs(hi)) + float(np.max(np.abs(r - z))) + abs(1.0 / bd) + 1.0
+    left, right = -bound, bound
+    for _ in range(200):
+        mid = 0.5 * (left + right)
+        if surplus(prices(mid)) / scenario.arrival_rate - 1.0 / bd - mid >= 0.0:
+            left = mid
+        else:
+            right = mid
+    d = prices(0.5 * (left + right))
+    return tuple(float(x) for x in d), float(v_next[ix]) + surplus(d)
 
 
 def lp_concavity_margin(scenario, values) -> float:

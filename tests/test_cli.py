@@ -220,9 +220,21 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_negative_threads_rejected(scenario_file, capsys):
-    assert main(["lambda-bound", "--scenario", scenario_file, "--threads", "-1"]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--out-values", "v.csv", "--out-policy", "p.csv"], ["fixed-point", "--out", "f.csv"]],
+)
+def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc["beta_const"] = 720.0
+    doc["horizon"] = 5
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_manifest_on_stderr(scenario_file, capsys):

@@ -6,7 +6,13 @@ import pytest
 import slotpricing as sp
 from slotpricing import OpportunityCosts
 
-from oracles import fd_gradient, fd_hessian, grid_stage_value, lambert_bisect
+from oracles import (
+    bisect_stage_markup,
+    fd_gradient,
+    fd_hessian,
+    grid_stage_value,
+    lambert_bisect,
+)
 
 
 def _affine_values(scenario, slope):
@@ -242,6 +248,50 @@ def test_solve_stage_rejects_nonfinite(table1):
     v[1] = math.nan
     with pytest.raises(ValueError, match="finite"):
         sp.solve_stage(table1, (0, 0), v)
+
+
+def _random_stage(rng):
+    """A 1- to 4-slot stage at the empty state with random box and costs."""
+    n = int(rng.integers(1, 5))
+    price_min = float(rng.uniform(-1.0, 1.0))
+    scenario = sp.Scenario(
+        arrival_rate=float(rng.uniform(0.05, 0.95)),
+        horizon=1,
+        price_min=price_min,
+        price_max=price_min + float(rng.uniform(0.1, 3.0)),
+        net_revenue=float(rng.uniform(0.0, 2.0)),
+        beta_const=float(rng.uniform(-2.0, 2.0)),
+        beta_price=float(-rng.uniform(0.3, 3.0)),
+        slot_betas=tuple(float(b) for b in rng.uniform(-2.0, 2.0, n)),
+        capacities=(1,) * n,
+        cost=sp.AffineCost(intercept=0.0, coefficients=(0.0,) * n),
+    )
+    v_next = np.zeros(scenario.lattice.n_states)
+    v_next[list(scenario.lattice.strides)] = -rng.uniform(-1.0, 4.0, n)
+    return scenario, v_next
+
+
+def test_solve_stage_constrained_up_to_four_slots(monkeypatch):
+    calls = []
+    kernel = sp.pricing.lambert_w0
+    monkeypatch.setattr(sp.pricing, "lambert_w0", lambda y: calls.append(y) or kernel(y))
+    rng = np.random.default_rng(5151)
+    mixed = 0
+    for _ in range(150):
+        scenario, v_next = _random_stage(rng)
+        state = (0,) * scenario.n_slots
+        calls.clear()
+        sol = sp.solve_stage(scenario, state, v_next)
+        assert len(calls) == (1 if sol.interior else 2)
+        prices, value = bisect_stage_markup(scenario, state, v_next)
+        assert sol.value == pytest.approx(value, abs=1e-10)
+        assert max(abs(a - b) for a, b in zip(sol.prices, prices)) <= 1e-10
+        at_bound = [d in (scenario.price_min, scenario.price_max) for d in sol.prices]
+        mixed += any(at_bound) and not all(at_bound)
+        for _ in range(200):
+            probe = tuple(rng.uniform(scenario.price_min, scenario.price_max, scenario.n_slots))
+            assert sol.value >= sp.stage_objective(scenario, state, probe, v_next) - 1e-10
+    assert mixed >= 30
 
 
 def test_solve_stage_deterministic(table1):

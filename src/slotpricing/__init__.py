@@ -48,6 +48,7 @@ from .dp import (
     bellman_residual,
     fixed_point,
     opportunity_costs,
+    policy_from_values,
     solve_horizon,
     terminal_values,
 )
@@ -61,7 +62,7 @@ from .analysis import (
     enumerate_enclosings,
     increasing_opportunity_cost_violations,
 )
-from .sim import SimulationResult, policy_from_values, simulate
+from .sim import SimulationResult, simulate
 
 __version__ = "0.1.0"
 

@@ -256,6 +256,23 @@ def concavity_report(
     )
 
 
+def _opportunity_cost_increases(scenario: Scenario, values: np.ndarray):
+    """How much booking slot s' raises slot s's opportunity cost, per state.
+
+    Returns ``(increase, valid)``, both of shape (n_states, n_slots, n_slots):
+    ``increase[x, s, s']`` is ``(v(x + 1_s') - v(x + 1_s' + 1_s)) - (v(x) -
+    v(x + 1_s))`` with 0-based slots, and ``valid`` marks the entries where s
+    and s' are distinct slots feasible at x.
+    """
+    nbr = scenario.lattice.neighbours
+    feasible = nbr >= 0
+    opp = values[:, np.newaxis] - values[nbr]
+    increase = opp[nbr].transpose(0, 2, 1) - opp[:, :, np.newaxis]
+    valid = feasible[:, :, np.newaxis] & feasible[:, np.newaxis, :]
+    valid &= ~np.eye(feasible.shape[1], dtype=bool)
+    return increase, valid
+
+
 def increasing_opportunity_cost_violations(
     scenario: Scenario, values: np.ndarray
 ) -> list[tuple[State, int, int]]:
@@ -267,23 +284,10 @@ def increasing_opportunity_cost_violations(
     most 1e-12 (the float-tolerant reading of strictness); an empty list
     certifies strictly increasing opportunity costs of ``values``.
     """
-    lat = scenario.lattice
-    values = np.asarray(values, dtype=float)
-    out: list[tuple[State, int, int]] = []
-    for ix in range(lat.n_states):
-        state = lat.state(ix)
-        slots = lat.feasible_slots(state)
-        for s in slots:
-            stride_s = lat.strides[s - 1]
-            base = values[ix] - values[ix + stride_s]
-            for sp in slots:
-                if sp == s:
-                    continue
-                jx = ix + lat.strides[sp - 1]
-                shifted = values[jx] - values[jx + stride_s]
-                if shifted - base <= 1e-12:
-                    out.append((state, s, sp))
-    return out
+    increase, valid = _opportunity_cost_increases(scenario, np.asarray(values, dtype=float))
+    ix, s, sp = np.nonzero(valid & (increase <= 1e-12))
+    states = scenario.lattice.states_array[ix].tolist()
+    return [(tuple(x), a + 1, b + 1) for x, a, b in zip(states, s.tolist(), sp.tolist())]
 
 
 def arrival_rate_bound(scenario: Scenario) -> float:
@@ -300,24 +304,10 @@ def arrival_rate_bound(scenario: Scenario) -> float:
     fails to be positive (nothing is certified), and ``inf`` when the scenario
     has no cross-slot pair or no booking step to constrain.
     """
-    lat = scenario.lattice
-    costs = cost_values(scenario)
-    min_gap = math.inf
-    for ix in range(lat.n_states):
-        state = lat.state(ix)
-        slots = lat.feasible_slots(state)
-        for s in slots:
-            stride_s = lat.strides[s - 1]
-            base = float(costs[ix + stride_s] - costs[ix])
-            for sp in slots:
-                if sp == s:
-                    continue
-                jx = ix + lat.strides[sp - 1]
-                gap = float(costs[jx + stride_s] - costs[jx]) - base
-                if gap < min_gap:
-                    min_gap = gap
-    if math.isinf(min_gap) or scenario.horizon == 0:
+    increase, valid = _opportunity_cost_increases(scenario, -cost_values(scenario))
+    if not valid.any() or scenario.horizon == 0:
         return math.inf
+    min_gap = float(increase[valid].min())
     if min_gap <= 0.0:
         return 0.0
     weight_sum = sum(

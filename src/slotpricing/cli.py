@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -22,10 +23,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import arrival_rate_bound, concavity_report, enumerate_enclosings
-from .dp import ValueFunction, bellman_residual, fixed_point, solve_horizon
+from .dp import ValueFunction, bellman_residual, fixed_point, opportunity_costs, solve_horizon
 from .model import Scenario, ScenarioError, load_scenario, marginal_profit_violations
 from .pricing import solve_stage, unconstrained_stage_gain
-from .dp import opportunity_costs
 from .sim import simulate
 
 EXAMPLE_SCENARIO = """\
@@ -83,33 +83,34 @@ def _state_header(n_slots: int) -> str:
     return ",".join(f"x_{s}" for s in range(1, n_slots + 1))
 
 
+def _state_labels(scenario: Scenario) -> list[str]:
+    """The CSV state columns of every lattice state, in index order."""
+    return [",".join(map(str, x)) for x in scenario.lattice.states_array.tolist()]
+
+
 def _write_values_csv(path: str, scenario: Scenario, values: ValueFunction) -> int:
-    lat = scenario.lattice
-    rows = 0
+    labels = _state_labels(scenario)
     with open(path, "w", newline="") as f:
         f.write(f"t,{_state_header(scenario.n_slots)},value\n")
         for t in range(1, scenario.horizon + 2):
-            layer = values.layer(t)
-            for ix in range(lat.n_states):
-                state = ",".join(str(x) for x in lat.state(ix))
-                f.write(f"{t},{state},{_fmt(layer[ix])}\n")
-                rows += 1
-    return rows
+            f.writelines(f"{t},{x},{_fmt(v)}\n" for x, v in zip(labels, values.layer(t).tolist()))
+    return (scenario.horizon + 1) * len(labels)
 
 
 def _write_policy_csv(path: str, scenario: Scenario, policy) -> int:
-    lat = scenario.lattice
+    labels = _state_labels(scenario)
     rows = 0
     with open(path, "w", newline="") as f:
         f.write(f"t,{_state_header(scenario.n_slots)},slot,price\n")
-        for t in range(1, scenario.horizon + 1):
-            for ix in range(lat.n_states):
-                state = ",".join(str(x) for x in lat.state(ix))
-                for slot in range(1, scenario.n_slots + 1):
-                    d = policy.prices[t - 1, ix, slot - 1]
-                    if not np.isnan(d):
-                        f.write(f"{t},{state},{slot},{_fmt(d)}\n")
-                        rows += 1
+        # One time layer at a time keeps the temporaries one layer in size.
+        for t, layer in enumerate(policy.prices, start=1):
+            ix, slot = np.nonzero(~np.isnan(layer))
+            prices = layer[ix, slot].tolist()
+            f.writelines(
+                f"{t},{labels[i]},{s + 1},{_fmt(d)}\n"
+                for i, s, d in zip(ix.tolist(), slot.tolist(), prices)
+            )
+            rows += len(prices)
     return rows
 
 
@@ -164,14 +165,12 @@ def _cmd_fixed_point(args) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         stationary = fixed_point(scenario)
     residual = bellman_residual(scenario, stationary)
-    lat = scenario.lattice
+    labels = _state_labels(scenario)
     with open(args.out, "w", newline="") as f:
         f.write(f"{_state_header(scenario.n_slots)},value\n")
-        for ix in range(lat.n_states):
-            state = ",".join(str(x) for x in lat.state(ix))
-            f.write(f"{state},{_fmt(stationary[ix])}\n")
+        f.writelines(f"{x},{_fmt(v)}\n" for x, v in zip(labels, stationary.tolist()))
     print(f"fixed-point residual sup-norm: {_fmt(residual)}")
-    print(f"wrote {args.out} ({lat.n_states} rows)")
+    print(f"wrote {args.out} ({len(labels)} rows)")
     _emit_manifest("fixed-point", t0, args.scenario, raw, outputs=[args.out])
     return 0
 
@@ -348,8 +347,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, ValueError, OverflowError) as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print(
+            "error: a logit utility exceeds the float range (exp argument above "
+            f"{math.log(sys.float_info.max):.2f}); check beta_const, the slot betas, "
+            "beta_price and the price box",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -141,44 +141,56 @@ def fixed_point(scenario: Scenario) -> np.ndarray:
     return out
 
 
-def _lattice_tables(scenario: Scenario) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Per-state feasible slots (1-based) and the matching neighbour indices."""
-    lat = scenario.lattice
-    feas: list[tuple[int, ...]] = []
-    nbrs: list[tuple[int, ...]] = []
-    for ix in range(lat.n_states):
-        state = lat.state(ix)
-        slots = lat.feasible_slots(state)
-        feas.append(slots)
-        nbrs.append(tuple(ix + lat.strides[s - 1] for s in slots))
-    return feas, nbrs
-
-
 def _sweep(
     solver: _StageSolver,
-    feas: list[tuple[int, ...]],
-    nbrs: list[tuple[int, ...]],
+    neighbours: np.ndarray,
     v_next: np.ndarray,
     policy_prices: Optional[np.ndarray] = None,
     policy_interior: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One application of the stage optimisation to every state."""
-    n = len(feas)
-    out = np.empty(n)
-    for ix in range(n):
-        slots = feas[ix]
-        if not slots:
-            out[ix] = v_next[ix]
+    """One application of the stage optimisation to every state.
+
+    States are grouped by their set of feasible slots, so each group's
+    opportunity costs ``v_next(x) - v_next(x + 1_s)`` come from one array
+    operation before the scalar solver prices them state by state. States with
+    every slot full keep ``v_next``.
+    """
+    feasible = neighbours >= 0
+    pattern = feasible @ (1 << np.arange(feasible.shape[1]))
+    out = v_next.astype(float)
+    for key in np.unique(pattern):
+        rows = np.flatnonzero(pattern == key)
+        cols = np.flatnonzero(feasible[rows[0]])
+        if not cols.size:
             continue
-        base = v_next[ix]
-        opp = [base - v_next[j] for j in nbrs[ix]]
-        prices, surplus, interior = solver.solve(slots, opp)
-        out[ix] = base + surplus
+        slots = tuple((cols + 1).tolist())
+        opp = v_next[rows, np.newaxis] - v_next[neighbours[np.ix_(rows, cols)]]
+        prices, surplus, interior = zip(*(solver.solve(slots, z) for z in opp.tolist()))
+        out[rows] += surplus
         if policy_prices is not None:
-            for s, d in zip(slots, prices):
-                policy_prices[ix, s - 1] = d
-            policy_interior[ix] = interior
+            policy_prices[np.ix_(rows, cols)] = prices
+            policy_interior[rows] = interior
     return out
+
+
+def _sweep_horizon(
+    scenario: Scenario, v: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-optimal prices and interior flags at every step t, each against ``v[t]``.
+
+    Sweeps t = horizon .. 1 and stores the stage values in ``out[t - 1]``, so
+    ``out=v`` runs the backward induction in place.
+    """
+    t_bar = scenario.horizon
+    n = scenario.lattice.n_states
+    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
+    interior = np.zeros((t_bar, n), dtype=bool)
+    solver = _StageSolver(scenario)
+    for t in range(t_bar, 0, -1):
+        out[t - 1] = _sweep(
+            solver, scenario.lattice.neighbours, v[t], prices[t - 1], interior[t - 1]
+        )
+    return prices, interior
 
 
 def bellman_apply(scenario: Scenario, v: np.ndarray) -> np.ndarray:
@@ -192,8 +204,7 @@ def bellman_apply(scenario: Scenario, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {scenario.lattice.n_states} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    feas, nbrs = _lattice_tables(scenario)
-    return _sweep(_StageSolver(scenario), feas, nbrs, v)
+    return _sweep(_StageSolver(scenario), scenario.lattice.neighbours, v)
 
 
 def bellman_residual(scenario: Scenario, v: np.ndarray) -> float:
@@ -219,28 +230,31 @@ def solve_horizon(
             "raise max_states explicitly to proceed"
         )
     t_bar = scenario.horizon
-    n = lat.n_states
-    values = np.empty((t_bar + 1, n))
+    values = np.empty((t_bar + 1, lat.n_states))
     values[t_bar] = terminal_values(scenario)
-    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
-    interior = np.zeros((t_bar, n), dtype=bool)
-    solver = _StageSolver(scenario)
-    feas, nbrs = _lattice_tables(scenario)
-    for t in range(t_bar, 0, -1):
-        values[t - 1] = _sweep(
-            solver,
-            feas,
-            nbrs,
-            values[t],
-            policy_prices=prices[t - 1],
-            policy_interior=interior[t - 1],
-        )
+    prices, interior = _sweep_horizon(scenario, values, values)
     fingerprint = scenario.fingerprint()
     values.flags.writeable = False
     vf = ValueFunction(values=values, fingerprint=fingerprint)
     policy_values = values[:t_bar].copy()
     policy = PricePolicy._frozen(prices, policy_values, interior, fingerprint)
     return vf, policy
+
+
+def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy:
+    """Extract the stage-optimal prices implied by a value table.
+
+    For each booking step t the stage problem is solved against layer t + 1,
+    exactly as the backward induction would; feeding in a solved table
+    reproduces its policy.
+    """
+    if values.fingerprint != scenario.fingerprint():
+        raise ValueError("value function was computed for a different scenario")
+    if values.horizon != scenario.horizon:
+        raise ValueError("value function horizon does not match the scenario")
+    stage_values = np.empty((scenario.horizon, scenario.lattice.n_states))
+    prices, interior = _sweep_horizon(scenario, values.values, stage_values)
+    return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 
 
 def opportunity_costs(
@@ -250,8 +264,9 @@ def opportunity_costs(
     lat = scenario.lattice
     ix = lat.index(state)
     v = np.asarray(v, dtype=float)
-    slots = lat.feasible_slots(state)
+    nbr = lat.neighbours[ix]
+    slots = np.flatnonzero(nbr >= 0)
     return OpportunityCosts(
-        slots=slots,
-        values=tuple(float(v[ix] - v[ix + lat.strides[s - 1]]) for s in slots),
+        slots=tuple((slots + 1).tolist()),
+        values=tuple((v[ix] - v[nbr[slots]]).tolist()),
     )

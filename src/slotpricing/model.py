@@ -66,8 +66,8 @@ class StateLattice:
     The first slot is the fastest-varying digit:
     ``index(x) = sum_s x[s] * strides[s]`` with
     ``strides[s] = prod_{k < s} (capacity[k] + 1)``. Adding one order in slot
-    s therefore moves the index by ``strides[s]``, which keeps neighbour
-    lookups O(1).
+    s therefore moves the index by ``strides[s]``; ``neighbours`` tabulates
+    those moves for every state.
     """
 
     def __init__(self, capacities: Sequence[int]):
@@ -115,6 +115,20 @@ class StateLattice:
     def states_array(self) -> np.ndarray:
         """All states as an (n_states, n_slots) int64 array in index order."""
         arr = np.array(self.states(), dtype=np.int64).reshape(self.n_states, len(self.capacities))
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """Index of ``x + 1_s`` for every state x and slot s, -1 where s is full.
+
+        An (n_states, n_slots) int64 array in index order; column s - 1 holds
+        slot s. The -1 entries are sentinels: mask them (``neighbours >= 0``
+        marks the feasible slots) before indexing with the array.
+        """
+        ix = np.arange(self.n_states, dtype=np.int64)[:, np.newaxis]
+        open_ = self.states_array < np.asarray(self.capacities, dtype=np.int64)
+        arr = np.where(open_, ix + np.asarray(self.strides, dtype=np.int64), -1)
         arr.flags.writeable = False
         return arr
 
@@ -372,14 +386,10 @@ def marginal_profit_violations(scenario: Scenario) -> list[tuple[State, int]]:
     lat = scenario.lattice
     ceiling = scenario.price_max + scenario.net_revenue
     costs = cost_values(scenario)
-    out: list[tuple[State, int]] = []
-    for ix in range(lat.n_states):
-        state = lat.state(ix)
-        for slot in lat.feasible_slots(state):
-            marginal = costs[ix + lat.strides[slot - 1]] - costs[ix]
-            if marginal > ceiling:
-                out.append((state, slot))
-    return out
+    nbr = lat.neighbours
+    ix, s = np.nonzero((nbr >= 0) & (costs[nbr] - costs[:, np.newaxis] > ceiling))
+    states = lat.states_array[ix].tolist()
+    return [(tuple(x), slot + 1) for x, slot in zip(states, s.tolist())]
 
 
 @dataclass(frozen=True)

@@ -151,18 +151,17 @@ def stage_objective(
     feasible and priced inside the box; with every slot closed the result is
     ``v_next(state)``.
     """
-    lat = scenario.lattice
-    ix = lat.index(state)
+    ix = scenario.lattice.index(state)
+    nbr = scenario.lattice.neighbours[ix]
     v_next = np.asarray(v_next, dtype=float)
     if len(prices) != scenario.n_slots:
         raise ValueError(f"expected {scenario.n_slots} prices, got {len(prices)}")
-    feasible = set(lat.feasible_slots(state))
     open_slots = []
     open_prices = []
     for s, d in enumerate(prices, start=1):
         if d is None:
             continue
-        if s not in feasible:
+        if nbr[s - 1] < 0:
             raise ValueError(f"slot {s} is at capacity and cannot be offered")
         d = float(d)
         if not scenario.price_min <= d <= scenario.price_max:
@@ -175,7 +174,7 @@ def stage_objective(
         return float(v_next[ix])
     oc = OpportunityCosts(
         slots=tuple(open_slots),
-        values=tuple(float(v_next[ix] - v_next[ix + lat.strides[s - 1]]) for s in open_slots),
+        values=tuple(float(v_next[ix] - v_next[nbr[s - 1]]) for s in open_slots),
     )
     return float(v_next[ix]) + stage_surplus(scenario, oc, open_prices)
 
@@ -269,16 +268,16 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
     constrained optimum, where every slot charges its opportunity cost minus
     ``net_revenue`` plus one common markup, clamped to the box.
     """
-    lat = scenario.lattice
-    ix = lat.index(state)
+    ix = scenario.lattice.index(state)
+    nbr = scenario.lattice.neighbours[ix]
     v_next = np.asarray(v_next, dtype=float)
-    slots = lat.feasible_slots(state)
-    touched = [ix] + [ix + lat.strides[s - 1] for s in slots]
-    if not np.all(np.isfinite(v_next[touched])):
+    cols = np.flatnonzero(nbr >= 0)
+    if not np.all(np.isfinite(v_next[[ix, *nbr[cols]]])):
         raise ValueError("next-step values must be finite")
-    if not slots:
+    if not cols.size:
         return StageSolution(prices=(None,) * scenario.n_slots, value=float(v_next[ix]), interior=False)
-    opp = [float(v_next[ix] - v_next[ix + lat.strides[s - 1]]) for s in slots]
+    slots = tuple((cols + 1).tolist())
+    opp = (v_next[ix] - v_next[nbr[cols]]).tolist()
     prices, surplus, interior = _StageSolver(scenario).solve(slots, opp)
     full: list[Optional[float]] = [None] * scenario.n_slots
     for s, d in zip(slots, prices):

@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dp import PricePolicy, ValueFunction, _lattice_tables, _sweep
+from .dp import PricePolicy
 from .model import Scenario, cost_values
-from .pricing import _StageSolver
 
 GENERATOR = "numpy.random.Philox"
 # Replications per uniform-matrix block; results are block-size invariant
@@ -62,6 +61,8 @@ def _policy_tables(
     ):
         raise ValueError("policy prices fall outside the admissible box")
     open_mask = ~np.isnan(prices)
+    if np.any(open_mask & (scenario.lattice.neighbours < 0)):
+        raise ValueError("policy offers a slot that is at capacity")
     betas = np.asarray(scenario.slot_betas, dtype=float)
     weights = np.where(
         open_mask,
@@ -104,7 +105,7 @@ def simulate(
         raise ValueError("arrival rate override must lie in [0, 1)")
     lat = scenario.lattice
     t_bar = scenario.horizon
-    strides = np.asarray(lat.strides, dtype=np.int64)
+    neighbours = lat.neighbours
     costs = cost_values(scenario)
     cum, revenue = (
         _policy_tables(scenario, policy, lam)
@@ -129,7 +130,7 @@ def simulate(
                 slot = np.argmax(ut[sale, np.newaxis] < thresholds[sale], axis=1)
                 sold_states = states[sale]
                 profit[sale] += revenue[t, sold_states, slot]
-                states[sale] = sold_states + strides[slot]
+                states[sale] = neighbours[sold_states, slot]
         profit -= costs[states]
         histogram += np.bincount(states, minlength=lat.n_states)
         chunks.append(profit)
@@ -148,32 +149,3 @@ def simulate(
         profits=profits if keep_profits else None,
     )
 
-
-def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy:
-    """Extract the stage-optimal prices implied by a value table.
-
-    For each booking step t the stage problem is solved against layer t + 1,
-    exactly as the backward induction would; feeding in a solved table
-    reproduces its policy.
-    """
-    if values.fingerprint != scenario.fingerprint():
-        raise ValueError("value function was computed for a different scenario")
-    if values.horizon != scenario.horizon:
-        raise ValueError("value function horizon does not match the scenario")
-    t_bar = scenario.horizon
-    n = scenario.lattice.n_states
-    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
-    interior = np.zeros((t_bar, n), dtype=bool)
-    stage_values = np.empty((t_bar, n))
-    solver = _StageSolver(scenario)
-    feas, nbrs = _lattice_tables(scenario)
-    for t in range(1, t_bar + 1):
-        stage_values[t - 1] = _sweep(
-            solver,
-            feas,
-            nbrs,
-            values.layer(t + 1),
-            policy_prices=prices[t - 1],
-            policy_interior=interior[t - 1],
-        )
-    return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented without touching the library's
 own solution paths: bisection instead of Halley or the breakpoint walk, dense
 grids instead of the stage solver, linear programming instead of the pruned
-enumeration, and finite differences instead of closed-form gradients.
+enumeration, finite differences instead of closed-form gradients, and loops
+over bumped states instead of the lattice's neighbour table.
 """
 
 from __future__ import annotations
@@ -167,16 +168,114 @@ def lp_concavity_margin(scenario, values) -> float:
     return best
 
 
+def _bump(state, slot):
+    """``state + 1_slot`` for a 1-based slot."""
+    return tuple(v + (1 if k == slot - 1 else 0) for k, v in enumerate(state))
+
+
 def brute_marginal_violations(scenario):
     """Double loop over the lattice and slots, straight off the definitions."""
     ceiling = scenario.price_max + scenario.net_revenue
     out = []
     for x in sp.enumerate_states(scenario):
         for s in sorted(sp.feasible_slots(scenario, x)):
-            bumped = tuple(v + (1 if k == s - 1 else 0) for k, v in enumerate(x))
-            if sp.cost(scenario, bumped) - sp.cost(scenario, x) > ceiling:
+            if sp.cost(scenario, _bump(x, s)) - sp.cost(scenario, x) > ceiling:
                 out.append((x, s))
     return out
+
+
+def _cross_pairs(scenario):
+    """Every state with an ordered pair of distinct feasible slots, in order."""
+    for x in sp.enumerate_states(scenario):
+        slots = sorted(sp.feasible_slots(scenario, x))
+        for s in slots:
+            for s2 in slots:
+                if s2 != s:
+                    yield x, s, s2
+
+
+def brute_opportunity_cost_violations(scenario, values):
+    """``(x, s, s')`` where booking s' raises the opportunity cost of s by at
+    most 1e-12, by a triple loop over bumped states."""
+    idx = scenario.lattice.index
+    out = []
+    for x, s, s2 in _cross_pairs(scenario):
+        base = values[idx(x)] - values[idx(_bump(x, s))]
+        shifted = values[idx(_bump(x, s2))] - values[idx(_bump(_bump(x, s2), s))]
+        if shifted - base <= 1e-12:
+            out.append((x, s, s2))
+    return out
+
+
+def brute_arrival_rate_bound(scenario):
+    """The certified arrival-rate bound from its definition.
+
+    The smallest terminal gap ``(cost(x + 1_s' + 1_s) - cost(x + 1_s')) -
+    (cost(x + 1_s) - cost(x))`` over all cross pairs, scaled by
+    ``-beta_price / (horizon * W(sum of slot weights at 0))``. W comes from
+    the library because only the lattice scan is under test here.
+    """
+    def c(x):
+        return sp.cost(scenario, x)
+
+    gaps = [
+        (c(_bump(_bump(x, s2), s)) - c(_bump(x, s2))) - (c(_bump(x, s)) - c(x))
+        for x, s, s2 in _cross_pairs(scenario)
+    ]
+    if not gaps or scenario.horizon == 0:
+        return math.inf
+    if min(gaps) <= 0.0:
+        return 0.0
+    weight_sum = sum(
+        math.exp(scenario.beta_const + b - scenario.beta_price * scenario.net_revenue - 1.0)
+        for b in scenario.slot_betas
+    )
+    return -scenario.beta_price * min(gaps) / (scenario.horizon * sp.lambert_w0(weight_sum))
+
+
+def random_table_cost_scenario(rng: np.random.Generator, horizon: int = 2) -> sp.Scenario:
+    """A random 1- to 4-slot scenario with a tabulated delivery cost.
+
+    The table is an affine cost plus nonnegative pairwise products, plus, on
+    about half the draws, noise large enough to break both the marginal
+    profit ceiling and supermodularity; so some draws have violations and a
+    zero arrival-rate bound, and others a positive bound.
+    """
+    n_slots = int(rng.integers(1, 5))
+    caps = tuple(int(c) for c in rng.integers(1, 4, n_slots))
+    x = sp.StateLattice(caps).states_array.astype(float)
+    pairs = np.triu(rng.uniform(0.0, 1.0, (n_slots, n_slots)), 1)
+    table = 2.0 + x @ rng.uniform(0.0, 1.5, n_slots) + np.einsum("ij,ni,nj->n", pairs, x, x)
+    if rng.random() < 0.5:
+        table += rng.uniform(0.0, 8.0, len(table))
+    return sp.Scenario(
+        arrival_rate=0.5,
+        horizon=horizon,
+        price_min=0.0,
+        price_max=2.0,
+        net_revenue=1.0,
+        beta_const=1.0,
+        beta_price=-1.0,
+        slot_betas=tuple(float(b) for b in rng.uniform(-1.0, 1.0, n_slots)),
+        capacities=caps,
+        cost=sp.TableCost(tuple(table.tolist())),
+    )
+
+
+def clamped_three_slot_scenario() -> sp.Scenario:
+    """Three slots of capacity 3 whose stages mostly clamp to the price box."""
+    return sp.Scenario(
+        arrival_rate=0.5,
+        horizon=8,
+        price_min=0.0,
+        price_max=2.0,
+        net_revenue=1.0,
+        beta_const=1.0,
+        beta_price=-1.0,
+        slot_betas=(1.0, 0.0, -1.0),
+        capacities=(3, 3, 3),
+        cost=sp.AffineCost(intercept=2.0, coefficients=(1.0, 1.5, 2.0)),
+    )
 
 
 def random_scenario(rng: np.random.Generator, horizon: int = 3) -> sp.Scenario:

@@ -6,7 +6,14 @@ import pytest
 
 import slotpricing as sp
 
-from oracles import lambert_bisect, lp_concavity_margin, supermodular_scenario
+from oracles import (
+    brute_arrival_rate_bound,
+    brute_opportunity_cost_violations,
+    lambert_bisect,
+    lp_concavity_margin,
+    random_table_cost_scenario,
+    supermodular_scenario,
+)
 
 
 def _single_slot_scenario(capacity=2):
@@ -238,3 +245,22 @@ def test_bound_degenerate_cases():
     assert sp.arrival_rate_bound(single) == math.inf
     zero_horizon = dataclasses.replace(supermodular_scenario(), horizon=0)
     assert sp.arrival_rate_bound(zero_horizon) == math.inf
+
+
+def test_lattice_scans_match_brute_force():
+    rng = np.random.default_rng(21)
+    listed = zero_bound = positive_bound = 0
+    for _ in range(30):
+        scenario = random_table_cost_scenario(rng)
+        values, _ = sp.solve_horizon(scenario)
+        layers = [values.layer(1), sp.terminal_values(scenario),
+                  rng.normal(size=scenario.lattice.n_states)]
+        for layer in layers:
+            found = sp.increasing_opportunity_cost_violations(scenario, layer)
+            assert found == brute_opportunity_cost_violations(scenario, layer)
+            listed += bool(found)
+        bound = sp.arrival_rate_bound(scenario)
+        assert bound == brute_arrival_rate_bound(scenario)
+        zero_bound += bound == 0.0
+        positive_bound += 0.0 < bound < math.inf
+    assert listed >= 1 and zero_bound >= 1 and positive_bound >= 1

@@ -8,7 +8,7 @@ import pytest
 import slotpricing as sp
 from slotpricing.cli import EXAMPLE_SCENARIO, main
 
-from oracles import supermodular_scenario
+from oracles import clamped_three_slot_scenario, supermodular_scenario
 
 
 @pytest.fixture()
@@ -65,6 +65,36 @@ def test_solve_outputs(scenario_file, tmp_path, capsys):
     # every (t, state) with a feasible slot appears once per open slot
     assert len(policy_rows) == 200 * (25 * 2 - 5 - 5)
     assert {r["slot"] for r in policy_rows} == {"1", "2"}
+
+
+def test_solve_csvs_parse_back_to_the_tables(tmp_path, capsys):
+    scenario = clamped_three_slot_scenario()
+    path = tmp_path / "clamped.json"
+    path.write_text(scenario.to_json())
+    values_csv, policy_csv = str(tmp_path / "values.csv"), str(tmp_path / "policy.csv")
+    assert main(["solve", "--scenario", str(path), "--out-values", values_csv,
+                 "--out-policy", policy_csv]) == 0
+    capsys.readouterr()
+    values, policy = sp.solve_horizon(scenario)
+    lat = scenario.lattice
+    n = scenario.n_slots
+
+    rows = _read_csv(values_csv)
+    keys = [(int(r["t"]), lat.index([int(r[f"x_{s}"]) for s in range(1, n + 1)])) for r in rows]
+    assert keys == [(t, ix) for t in range(1, scenario.horizon + 2) for ix in range(lat.n_states)]
+    parsed = np.array([float(r["value"]) for r in rows]).reshape(values.values.shape)
+    assert np.array_equal(parsed, values.values)
+
+    rows = _read_csv(policy_csv)
+    keys = [
+        (int(r["t"]), lat.index([int(r[f"x_{s}"]) for s in range(1, n + 1)]), int(r["slot"]))
+        for r in rows
+    ]
+    assert keys == sorted(set(keys))
+    dense = np.full(policy.prices.shape, np.nan)
+    for (t, ix, slot), r in zip(keys, rows):
+        dense[t - 1, ix, slot - 1] = float(r["price"])
+    assert np.array_equal(dense, policy.prices, equal_nan=True)
 
 
 def test_fixed_point_output(scenario_file, tmp_path, capsys):
@@ -234,6 +264,7 @@ def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args):
     assert main(args + ["--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "beta_const" in err
     assert "Traceback" not in err
 
 

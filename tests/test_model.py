@@ -7,7 +7,7 @@ import pytest
 import slotpricing as sp
 from slotpricing.cli import EXAMPLE_SCENARIO
 
-from oracles import brute_marginal_violations, random_scenario
+from oracles import brute_marginal_violations, random_scenario, random_table_cost_scenario
 
 
 def _doc(**overrides):
@@ -228,6 +228,30 @@ def test_marginal_profit_scan_matches_brute_force():
     for _ in range(5):
         scenario = random_scenario(rng)
         assert sp.marginal_profit_violations(scenario) == brute_marginal_violations(scenario)
+    non_empty = 0
+    for _ in range(30):
+        scenario = random_table_cost_scenario(rng)
+        violations = sp.marginal_profit_violations(scenario)
+        assert violations == brute_marginal_violations(scenario)
+        non_empty += bool(violations)
+    assert non_empty >= 1
+
+
+def test_neighbours_match_bumped_states():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        caps = tuple(int(c) for c in rng.integers(1, 5, int(rng.integers(1, 5))))
+        lat = sp.StateLattice(caps)
+        nbr = lat.neighbours
+        assert nbr.shape == (lat.n_states, len(caps)) and nbr.dtype == np.int64
+        assert not nbr.flags.writeable
+        for ix, x in enumerate(lat.states()):
+            for s, cap in enumerate(caps):
+                if x[s] == cap:
+                    assert nbr[ix, s] == -1
+                else:
+                    bumped = tuple(v + (k == s) for k, v in enumerate(x))
+                    assert nbr[ix, s] == lat.index(bumped)
 
 
 def test_fingerprint_stability(table1):

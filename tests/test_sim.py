@@ -7,7 +7,7 @@ import pytest
 import slotpricing as sp
 from slotpricing.sim import _policy_tables
 
-from oracles import grid_stage_value
+from oracles import clamped_three_slot_scenario, grid_stage_value
 
 
 def test_all_closed_policy_is_deterministic(table1):
@@ -106,13 +106,23 @@ def test_optimal_policy_dominates_static(table1, table1_solution):
 
 
 def test_policy_from_values_reproduces_solve(table1):
-    small = dataclasses.replace(table1, horizon=6)
-    values, policy = sp.solve_horizon(small)
-    extracted = sp.policy_from_values(small, values)
-    assert np.array_equal(extracted.prices, policy.prices, equal_nan=True)
-    assert np.array_equal(extracted.values, policy.values)
+    for small in (dataclasses.replace(table1, horizon=6), clamped_three_slot_scenario()):
+        values, policy = sp.solve_horizon(small)
+        extracted = sp.policy_from_values(small, values)
+        assert np.array_equal(extracted.prices, policy.prices, equal_nan=True)
+        assert np.array_equal(extracted.values, policy.values)
+        assert np.array_equal(extracted.interior, policy.interior)
     with pytest.raises(ValueError, match="different scenario"):
         sp.policy_from_values(table1, values)
+
+
+def test_policy_offering_a_full_slot_is_rejected(table1):
+    closed = sp.PricePolicy.all_closed(table1)
+    prices = closed.prices.copy()
+    prices[0, table1.lattice.index((4, 0)), 0] = 1.0
+    bad = sp.PricePolicy(prices, closed.values, closed.interior, closed.fingerprint)
+    with pytest.raises(ValueError, match="at capacity"):
+        sp.simulate(table1, bad, 10, seed=1)
 
 
 def test_policy_from_stationary_values(table1):

@@ -2,10 +2,11 @@
 
 A lattice function is concave-extensible exactly when it never falls below a
 convex-combination interpolation of its own values. The enumeration here
-builds, once per scenario, every affinely independent support of 2 to
-``n_slots + 1`` lattice points whose convex hull contains a given state (by
-Caratheodory that size suffices), together with the unique convex weights.
-The worst interpolation margin over all such combinations is then a cheap
+builds, once per scenario, every ``n_slots + 1``-point lattice simplex that
+contains another lattice state, with that state's exact convex weights. Every
+capacity is at least 1, so the lattice is full-dimensional and a smaller
+affinely independent support (Caratheodory) extends to a simplex by
+zero-weight vertices. The worst interpolation margin is then a cheap
 per-layer sweep, and its sign certifies concave-extensibility on lattice
 supports.
 """
@@ -16,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .model import Scenario, State, cost_values
 from .dp import ValueFunction, solve_horizon
 
 DEFAULT_MAX_ENUM_STATES = 10_000
+# Largest comb(n_states, n_slots + 1) * n_states, the (simplex, state) pairs
+# the enumeration tests in one batch. Below it Hadamard's bound keeps every
+# determinant and Cramer numerator under 2e5, exact in int64 and float64.
+MAX_ENUM_CANDIDATES = 8_000_000
 # Margins this far below zero count as genuine concavity violations; smaller
 # dips are indistinguishable from float roundoff in the layer values.
 NONNEGATIVITY_TOL = 1e-9
@@ -34,9 +39,10 @@ NONNEGATIVITY_TOL = 1e-9
 class EnclosingCombination:
     """Lattice points enclosing a target state, with their convex weights.
 
-    The support excludes the target, is affinely independent, and the weights
-    are the unique convex coefficients reproducing the target:
-    ``sum_q weights[q] * support[q] == target`` and the weights sum to 1.
+    The support is an ``n_slots + 1``-point lattice simplex excluding the
+    target, and the weights are its unique convex coefficients:
+    ``sum_q weights[q] * support[q] == target`` and the weights sum to 1. A
+    weight is zero where the target lies on the opposite face.
     """
 
     support: tuple[State, ...]
@@ -46,97 +52,72 @@ class EnclosingCombination:
 Witness = tuple[State, EnclosingCombination]
 
 
-def _solve_convex_weights(
-    support: Sequence[State], target: Sequence[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """Exact convex weights writing ``target`` over ``support``, or None.
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square int64 matrices, by Laplace expansion."""
+    if a.shape[-1] == 1:
+        return a[..., 0, 0]
+    return sum(
+        (-1) ** k * a[..., 0, k] * _det(np.delete(a[..., 1:, :], k, axis=-1))
+        for k in range(a.shape[-1])
+    )
 
-    Solves the affine system in rational arithmetic. Returns None when the
-    support is affinely dependent (weights would not be unique), when the
-    target lies outside the affine hull, or when any weight is negative.
-    """
-    m = len(support)
-    dim = len(target)
-    rows = [[Fraction(pt[i]) for pt in support] + [Fraction(target[i])] for i in range(dim)]
-    rows.append([Fraction(1)] * m + [Fraction(1)])
-    pivot_rows: list[int] = []
-    row_used = [False] * len(rows)
-    for col in range(m):
-        pivot = next(
-            (ri for ri in range(len(rows)) if not row_used[ri] and rows[ri][col] != 0), None
-        )
-        if pivot is None:
-            return None  # affinely dependent support
-        row_used[pivot] = True
-        pivot_rows.append(pivot)
-        pr = rows[pivot]
-        inv = 1 / pr[col]
-        rows[pivot] = pr = [x * inv for x in pr]
-        for ri in range(len(rows)):
-            if ri != pivot and rows[ri][col] != 0:
-                factor = rows[ri][col]
-                rows[ri] = [x - factor * y for x, y in zip(rows[ri], pr)]
-    for ri in range(len(rows)):
-        if not row_used[ri] and rows[ri][m] != 0:
-            return None  # inconsistent: target outside the affine hull
-    weights = [Fraction(0)] * m
-    for col, ri in enumerate(pivot_rows):
-        weights[col] = rows[ri][m]
-    if any(w < 0 for w in weights):
-        return None
-    return tuple(weights)
+
+def _cofactors(a: np.ndarray) -> np.ndarray:
+    """Cofactor matrices of a stack of square int64 matrices."""
+    cof = np.empty_like(a)
+    for i, k in np.ndindex(a.shape[-2:]):
+        minor = np.delete(np.delete(a, i, axis=-2), k, axis=-1)
+        cof[..., i, k] = (-1) ** (i + k) * _det(minor)
+    return cof
 
 
 class EnclosingSets(Mapping):
-    """All enclosing combinations per state, with packed arrays for sweeps.
+    """All enclosing combinations of a lattice, packed for vectorised sweeps.
 
-    Mapping interface: ``sets[state]`` is the tuple of combinations enclosing
-    that state (possibly empty, e.g. at lattice corners). The packed arrays
-    group combinations by support size so that a whole layer's margins reduce
-    to a few vectorised products.
+    Row r writes state index ``targets[r]`` over the simplex of state indices
+    ``support[r]`` with exact weights ``numerators[r] / denominators[r]``
+    (non-negative integers over the simplex's absolute determinant);
+    ``weights[r]`` holds them as floats. Rows run by target, then by support
+    in lexicographic index order. Mapping interface: ``sets[state]`` is the
+    tuple of combinations enclosing that state (empty at lattice corners).
     """
 
-    def __init__(self, scenario: Scenario, by_state: dict[State, tuple[EnclosingCombination, ...]]):
-        self._by_state = by_state
+    def __init__(self, scenario: Scenario, targets, support, numerators, denominators):
         self.scenario_fingerprint = scenario.fingerprint()
-        lat = scenario.lattice
-        groups: dict[int, list[tuple[State, EnclosingCombination]]] = {}
-        for state in lat.states():
-            for combo in by_state[state]:
-                groups.setdefault(len(combo.support), []).append((state, combo))
-        # flat order must match the packed margin order exactly
-        flat: list[tuple[State, EnclosingCombination]] = []
-        self._packed = []
-        for m in sorted(groups):
-            rows = groups[m]
-            targets = np.array([lat.index(state) for state, _ in rows], dtype=np.intp)
-            idx = np.array([[lat.index(q) for q in combo.support] for _, combo in rows], dtype=np.intp)
-            wts = np.array([combo.weights for _, combo in rows], dtype=float)
-            self._packed.append((len(flat), targets, idx, wts))
-            flat.extend(rows)
-        self._flat = flat
-        self.n_combinations = len(flat)
+        self._lattice = scenario.lattice
+        self.targets = targets
+        self.support = support
+        self.numerators = numerators
+        self.denominators = denominators
+        self.weights = numerators / denominators[:, np.newaxis]
+        self._row_bounds = np.searchsorted(targets, np.arange(self._lattice.n_states + 1))
+        self.n_combinations = len(targets)
 
     def __getitem__(self, state: State) -> tuple[EnclosingCombination, ...]:
-        return self._by_state[tuple(state)]
+        if not self._lattice.contains(state):
+            raise KeyError(state)
+        ix = self._lattice.index(state)
+        return tuple(self.combination(r)[1] for r in range(*self._row_bounds[ix : ix + 2]))
 
     def __iter__(self) -> Iterator[State]:
-        return iter(self._by_state)
+        return iter(self._lattice.states())
 
     def __len__(self) -> int:
-        return len(self._by_state)
+        return self._lattice.n_states
 
     def margins(self, values: np.ndarray) -> np.ndarray:
-        """Interpolation margin of every stored combination, in flat order."""
+        """Interpolation margin of every stored combination, in row order."""
         values = np.asarray(values, dtype=float)
-        out = np.empty(self.n_combinations)
-        for offset, targets, idx, wts in self._packed:
-            interp = (wts * values[idx]).sum(axis=1)
-            out[offset : offset + len(targets)] = values[targets] - interp
-        return out
+        interp = (self.weights * values[self.support]).sum(axis=1)
+        return values[self.targets] - interp
 
-    def combination(self, flat_index: int) -> Witness:
-        return self._flat[flat_index]
+    def combination(self, row: int) -> Witness:
+        states = self._lattice.states_array
+        combo = EnclosingCombination(
+            support=tuple(map(tuple, states[self.support[row]].tolist())),
+            weights=tuple(self.weights[row].tolist()),
+        )
+        return tuple(states[self.targets[row]].tolist()), combo
 
 
 def enumerate_enclosings(
@@ -144,43 +125,46 @@ def enumerate_enclosings(
 ) -> EnclosingSets:
     """Every enclosing combination of every lattice state.
 
-    For each state x this enumerates all supports of 2 to ``n_slots + 1``
-    points drawn from the lattice minus x, keeps those that are affinely
-    independent with x in their convex hull, and attaches the unique convex
-    weights (solved exactly, then stored as floats). The geometry depends only
-    on the capacities, so one enumeration serves every value-function layer.
-    The candidate count grows combinatorially with the lattice; the state
-    count is capped at ``max_states``.
+    One pass over the lattice's ``n_slots + 1``-point simplices. Each gets the
+    exact int64 determinant and cofactors of its rows ``(q, 1)``; the Cramer
+    numerators of all states at once are ``cofactors @ [x | 1]``. A state
+    other than a vertex is enclosed when its numerators all share the
+    determinant's sign (degenerate simplices enclose nothing). Smaller
+    supports are left out: a zero-weight vertex extends each to a simplex
+    with the same interpolation, so no state's worst margin changes. The
+    geometry depends only on the capacities, so one enumeration serves every
+    layer. Lattices above ``max_states`` states or ``MAX_ENUM_CANDIDATES``
+    (simplex, state) pairs are refused up front.
     """
     lat = scenario.lattice
-    if lat.n_states > max_states:
+    n_states, dim = lat.n_states, scenario.n_slots + 1
+    if n_states > max_states:
         raise ValueError(
-            f"lattice has {lat.n_states} states, above the enumeration limit of {max_states}"
+            f"lattice has {n_states} states, above the enumeration limit of {max_states}"
         )
-    states = lat.states()
-    by_state: dict[State, tuple[EnclosingCombination, ...]] = {}
-    max_size = scenario.n_slots + 1
-    for x in states:
-        others = [q for q in states if q != x]
-        found: list[EnclosingCombination] = []
-        for m in range(2, max_size + 1):
-            for support in itertools.combinations(others, m):
-                inside_box = all(
-                    min(q[i] for q in support) <= x[i] <= max(q[i] for q in support)
-                    for i in range(len(x))
-                )
-                if not inside_box:
-                    continue
-                weights = _solve_convex_weights(support, x)
-                if weights is None:
-                    continue
-                found.append(
-                    EnclosingCombination(
-                        support=support, weights=tuple(float(w) for w in weights)
-                    )
-                )
-        by_state[x] = tuple(found)
-    return EnclosingSets(scenario, by_state)
+    candidates = math.comb(n_states, dim) * n_states
+    if candidates > MAX_ENUM_CANDIDATES:
+        raise ValueError(
+            f"lattice has {candidates} (simplex, state) pairs, above the enumeration "
+            f"limit of {MAX_ENUM_CANDIDATES}"
+        )
+    points = np.hstack([lat.states_array, np.ones((n_states, 1), dtype=np.int64)])
+    simplices = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n_states), dim)),
+        dtype=np.intp,
+    ).reshape(-1, dim)
+    corners = points[simplices]
+    cof = _cofactors(corners)
+    det = (corners[:, 0, :] * cof[:, 0, :]).sum(axis=1)
+    # Orient every simplex positively: enclosed states then have numerators >= 0.
+    cof *= np.sign(det)[:, np.newaxis, np.newaxis]
+    numerators = cof @ points.T
+    enclosed = (numerators >= 0).all(axis=1) & (det != 0)[:, np.newaxis]
+    enclosed[np.arange(len(simplices))[:, np.newaxis], simplices] = False
+    targets, rows = np.nonzero(enclosed.T)
+    return EnclosingSets(
+        scenario, targets, simplices[rows], numerators[rows, :, targets], np.abs(det[rows])
+    )
 
 
 def concavity_margin(
@@ -192,24 +176,21 @@ def concavity_margin(
     the minimum over all combinations is non-negative exactly when the layer
     is concave-extensible on lattice supports. The scan runs in floats; the
     reported margin re-evaluates the minimising combination in exact rational
-    arithmetic, so affine layers yield exactly 0.0. States without enclosing
-    combinations contribute nothing; a lattice with none at all returns
-    ``(inf, None)``.
+    arithmetic from its integer weights, so affine layers yield exactly 0.0.
+    States without enclosing combinations contribute nothing; a lattice with
+    none at all returns ``(inf, None)``.
     """
     if enclosings.scenario_fingerprint != scenario.fingerprint():
         raise ValueError("enclosing sets were built for a different scenario")
     if enclosings.n_combinations == 0:
         return math.inf, None
     values = np.asarray(values, dtype=float)
-    margins = enclosings.margins(values)
-    flat = int(np.argmin(margins))
-    state, combo = enclosings.combination(flat)
-    lat = scenario.lattice
-    exact_weights = _solve_convex_weights(combo.support, state)
-    margin = Fraction(float(values[lat.index(state)]))
-    for w, q in zip(exact_weights, combo.support):
-        margin -= w * Fraction(float(values[lat.index(q)]))
-    return float(margin), (state, combo)
+    row = int(np.argmin(enclosings.margins(values)))
+    den = int(enclosings.denominators[row])
+    margin = Fraction(float(values[enclosings.targets[row]]))
+    for q, num in zip(enclosings.support[row].tolist(), enclosings.numerators[row].tolist()):
+        margin -= Fraction(num, den) * Fraction(float(values[q]))
+    return float(margin), enclosings.combination(row)
 
 
 @dataclass(frozen=True)

@@ -178,20 +178,22 @@ def _cmd_fixed_point(args) -> int:
 def _cmd_concavity(args) -> int:
     t0 = time.perf_counter()
     raw, scenario = _read_scenario(args.scenario)
-    values, _ = solve_horizon(scenario)
     corrupt = (args.corrupt_t, args.corrupt_state, args.corrupt_delta)
+    corrupt_ix = None
     if any(v is not None for v in corrupt):
         if any(v is None for v in corrupt):
             raise ValueError("--corrupt-t, --corrupt-state and --corrupt-delta go together")
         if not 1 <= args.corrupt_t <= scenario.horizon:
             raise ValueError(f"--corrupt-t must lie in 1..{scenario.horizon}")
-        state = _parse_state(args.corrupt_state)
-        ix = scenario.lattice.index(state)
+        corrupt_ix = scenario.lattice.index(_parse_state(args.corrupt_state))
+    # Enumerate before solving, so that a lattice above the limit fails fast.
+    enclosings = enumerate_enclosings(scenario)
+    values, _ = solve_horizon(scenario)
+    if corrupt_ix is not None:
         bumped = values.values.copy()
-        bumped[args.corrupt_t - 1, ix] += args.corrupt_delta
+        bumped[args.corrupt_t - 1, corrupt_ix] += args.corrupt_delta
         bumped.flags.writeable = False
         values = ValueFunction(values=bumped, fingerprint=values.fingerprint)
-    enclosings = enumerate_enclosings(scenario)
     report = concavity_report(scenario, values, enclosings)
     with open(args.out, "w", newline="") as f:
         f.write("t,epsilon,witness_state,witness_support\n")
@@ -348,6 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ScenarioError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError:

@@ -230,7 +230,13 @@ def solve_horizon(
             "raise max_states explicitly to proceed"
         )
     t_bar = scenario.horizon
-    values = np.empty((t_bar + 1, lat.n_states))
+    try:
+        values = np.empty((t_bar + 1, lat.n_states))
+    except MemoryError as exc:
+        raise MemoryError(
+            f"out of memory for the value table of horizon {t_bar} and {lat.n_states} "
+            f"states ({exc})"
+        ) from exc
     values[t_bar] = terminal_values(scenario)
     prices, interior = _sweep_horizon(scenario, values, values)
     fingerprint = scenario.fingerprint()

@@ -2,7 +2,7 @@
 
 Everything here is deliberately implemented without touching the library's
 own solution paths: bisection instead of Halley or the breakpoint walk, dense
-grids instead of the stage solver, linear programming instead of the pruned
+grids instead of the stage solver, linear programming instead of the simplex
 enumeration, finite differences instead of closed-form gradients, and loops
 over bumped states instead of the lattice's neighbour table.
 """
@@ -165,6 +165,30 @@ def lp_concavity_margin(scenario, values) -> float:
                 res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * m, method="highs")
                 if res.status == 0:
                     best = min(best, vx + res.fun)
+    return best
+
+
+def lp_hull_margin(scenario, values) -> float:
+    """Worst interpolation margin from one LP per state, with no supports.
+
+    For each state x, maximises ``sum_q lam_q * v(q)`` over all other lattice
+    points q subject to ``sum_q lam_q * (q, 1) == (x, 1)`` and ``lam >= 0``.
+    States outside the hull of the others (an infeasible LP) contribute
+    nothing; with none inside, the result is ``inf``.
+    """
+    from scipy.optimize import linprog
+
+    lat = scenario.lattice
+    points = np.array([list(q) + [1] for q in lat.states()], dtype=float)
+    values = np.asarray(values, dtype=float)
+    best = math.inf
+    for ix in range(lat.n_states):
+        others = np.arange(lat.n_states) != ix
+        res = linprog(
+            -values[others], A_eq=points[others].T, b_eq=points[ix], bounds=(0.0, None), method="highs"
+        )
+        if res.status == 0:
+            best = min(best, values[ix] + res.fun)
     return best
 
 

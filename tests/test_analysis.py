@@ -11,6 +11,7 @@ from oracles import (
     brute_opportunity_cost_violations,
     lambert_bisect,
     lp_concavity_margin,
+    lp_hull_margin,
     random_table_cost_scenario,
     supermodular_scenario,
 )
@@ -38,23 +39,25 @@ def _single_slot_scenario(capacity=2):
 
 def test_enclosing_examples(table1_enclosings):
     enc = table1_enclosings
+
+    def positive(combo):
+        return {q: w for q, w in zip(combo.support, combo.weights) if w > 0.0}
+
     # midpoint on an axis
-    assert any(
-        set(c.support) == {(0, 0), (2, 0)} and c.weights == (0.5, 0.5) for c in enc[(1, 0)]
-    )
+    assert {(0, 0): 0.5, (2, 0): 0.5} in [positive(c) for c in enc[(1, 0)]]
     # lattice corners are extreme points of the hull: nothing encloses them
     assert enc[(0, 0)] == ()
     assert enc[(4, 4)] == ()
-    # both diagonal midpoint supports around (1,1)
-    diag = [c for c in enc[(1, 1)] if set(c.support) in ({(0, 0), (2, 2)}, {(0, 2), (2, 0)})]
-    assert len(diag) == 2
-    assert all(c.weights == (0.5, 0.5) for c in diag)
+    # both diagonal midpoints around (1,1)
+    mids = [positive(c) for c in enc[(1, 1)]]
+    assert {(0, 0): 0.5, (2, 2): 0.5} in mids
+    assert {(0, 2): 0.5, (2, 0): 0.5} in mids
 
 
 def test_enclosing_weights_reproduce_targets(table1, table1_enclosings):
     for state in sp.enumerate_states(table1):
         for combo in table1_enclosings[state]:
-            assert 2 <= len(combo.support) <= table1.n_slots + 1
+            assert len(combo.support) == table1.n_slots + 1
             assert state not in combo.support
             assert abs(sum(combo.weights) - 1.0) <= 1e-12
             assert all(0.0 <= w <= 1.0 + 1e-12 for w in combo.weights)
@@ -67,6 +70,20 @@ def test_enclosing_weights_reproduce_targets(table1, table1_enclosings):
 def test_enclosing_state_limit(table1):
     with pytest.raises(ValueError, match="enumeration limit"):
         sp.enumerate_enclosings(table1, max_states=10)
+
+
+def test_enclosing_candidate_limit(table1, monkeypatch):
+    # 441 states pass max_states, but the simplex-state pairs do not
+    large = dataclasses.replace(table1, capacities=(20, 20))
+    assert large.lattice.n_states <= sp.analysis.DEFAULT_MAX_ENUM_STATES
+    with pytest.raises(ValueError, match="enumeration limit"):
+        sp.enumerate_enclosings(large)
+    pairs = math.comb(table1.lattice.n_states, 3) * table1.lattice.n_states
+    monkeypatch.setattr(sp.analysis, "MAX_ENUM_CANDIDATES", pairs - 1)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        sp.enumerate_enclosings(table1)
+    monkeypatch.setattr(sp.analysis, "MAX_ENUM_CANDIDATES", pairs)
+    assert sp.enumerate_enclosings(table1).n_combinations > 0
 
 
 def test_enclosing_supports_affinely_independent(table1_enclosings):
@@ -144,6 +161,24 @@ def test_margin_matches_lp_oracle_two_dimensional():
         values = rng.normal(size=9)
         margin, _ = sp.concavity_margin(scenario, values, enc)
         assert margin == pytest.approx(lp_concavity_margin(scenario, values), abs=1e-8)
+
+
+@pytest.mark.parametrize("capacities", [(2, 2, 1), (2, 1, 1, 1)])
+def test_margin_matches_lp_hull_oracle(capacities):
+    n = len(capacities)
+    scenario = dataclasses.replace(
+        _single_slot_scenario(),
+        capacities=capacities,
+        slot_betas=tuple(np.linspace(0.5, -0.5, n).tolist()),
+        cost=sp.AffineCost(intercept=1.0, coefficients=tuple(1.0 + 0.5 * k for k in range(n))),
+    )
+    enc = sp.enumerate_enclosings(scenario)
+    values, _ = sp.solve_horizon(scenario)
+    rng = np.random.default_rng(sum(capacities))
+    layers = [values.layer(1)] + [rng.normal(size=scenario.lattice.n_states) for _ in range(3)]
+    for layer in layers:
+        margin, _ = sp.concavity_margin(scenario, layer, enc)
+        assert margin == pytest.approx(lp_hull_margin(scenario, layer), abs=1e-8)
 
 
 def test_margin_detects_corruption(table1, table1_solution, table1_enclosings):

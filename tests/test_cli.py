@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import slotpricing as sp
+from slotpricing import cli
 from slotpricing.cli import EXAMPLE_SCENARIO, main
 
 from oracles import clamped_three_slot_scenario, supermodular_scenario
@@ -266,6 +267,36 @@ def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args):
     assert "error:" in err
     assert "beta_const" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["solve"], ["simulate"]])
+def test_horizon_beyond_memory_exits_one(tmp_path, monkeypatch, capsys, args):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc["horizon"] = 10**12  # a value table of about 182 TiB
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "horizon 1000000000000 and 25 states" in err
+    assert "Traceback" not in err
+
+
+def test_concavity_refuses_large_lattice_before_solving(tmp_path, monkeypatch, capsys):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    for slot in doc["slots"]:
+        slot["capacity"] = 20
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("concavity solved before enumerating")
+
+    monkeypatch.setattr(cli, "solve_horizon", no_solve)
+    out = str(tmp_path / "eps.csv")
+    assert main(["concavity", "--scenario", str(path), "--out", out]) == 1
+    assert "enumeration limit" in capsys.readouterr().err
 
 
 def test_manifest_on_stderr(scenario_file, capsys):

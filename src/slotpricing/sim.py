@@ -22,6 +22,7 @@ GENERATOR = "numpy.random.Philox"
 # Replications per uniform-matrix block; results are block-size invariant
 # because the Philox stream is consumed in counter order.
 _CHUNK = 32_768
+_STEPS = 8  # booking steps per transposed slice of a block: a cache line per row
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,11 @@ def _policy_tables(
     )
     denom = weights.sum(axis=2, keepdims=True) + 1.0
     cum = np.cumsum(arrival_rate * weights / denom, axis=2)
+    if not np.all(np.isfinite(cum[:, :, -1])):
+        raise ValueError(
+            "a sale probability is not finite (a logit utility exceeds the float range); "
+            "check beta_const, the slot betas, beta_price and the price box"
+        )
     revenue = np.where(open_mask, scenario.net_revenue + np.where(open_mask, prices, 0.0), 0.0)
     return cum, revenue
 
@@ -89,10 +95,13 @@ def simulate(
     Bit-reproducible for a fixed ``seed``: replication i consumes exactly the
     draws ``[i * horizon, (i + 1) * horizon)`` of a single counter-based
     Philox stream keyed by ``seed``, so results do not depend on internal
-    batching. ``arrival_rate`` optionally overrides the scenario's rate (0.0
-    is allowed here to force arrival-free runs; the solver itself requires a
-    rate strictly inside (0, 1)). Profits are summed in replication order,
-    and the mean uses index-ordered pairwise summation.
+    batching. A step tests every row's draw against its state's sale
+    probability; only the rows that sell look up their slot, the number of
+    cumulative thresholds at or below the draw. ``arrival_rate`` optionally
+    overrides the scenario's rate (0.0 is allowed here, unlike in the
+    solver). Profits are summed in replication order, and the mean uses
+    index-ordered pairwise summation. ``ValueError`` is raised when a sale
+    probability is not finite because a logit utility overflows.
     """
     if reps < 1:
         raise ValueError("at least one replication is required")
@@ -104,33 +113,29 @@ def simulate(
     if not 0.0 <= lam < 1.0:
         raise ValueError("arrival rate override must lie in [0, 1)")
     lat = scenario.lattice
-    t_bar = scenario.horizon
-    neighbours = lat.neighbours
     costs = cost_values(scenario)
-    cum, revenue = (
-        _policy_tables(scenario, policy, lam)
-        if t_bar > 0
-        else (np.zeros((0, lat.n_states, scenario.n_slots)),) * 2
-    )
+    cum, revenue = _policy_tables(scenario, policy, lam)
+    thresholds = np.ascontiguousarray(cum.transpose(0, 2, 1))  # [t, -1]: sale probability
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     chunks: list[np.ndarray] = []
+    u = np.empty((min(_CHUNK, reps), scenario.horizon))
     done = 0
     while done < reps:
         size = min(_CHUNK, reps - done)
-        u = rng.random((size, t_bar)) if t_bar > 0 else np.empty((size, 0))
+        block = rng.random(out=u[:size])
         states = np.zeros(size, dtype=np.int64)
         profit = np.zeros(size)
-        for t in range(t_bar):
-            thresholds = cum[t, states]
-            ut = u[:, t]
-            sale = ut < thresholds[:, -1]
-            if np.any(sale):
-                slot = np.argmax(ut[sale, np.newaxis] < thresholds[sale], axis=1)
-                sold_states = states[sale]
-                profit[sale] += revenue[t, sold_states, slot]
-                states[sale] = neighbours[sold_states, slot]
+        for t0 in range(0, scenario.horizon, _STEPS):
+            for t, ut in enumerate(block[:, t0 : t0 + _STEPS].T.copy(), t0):
+                sale = np.flatnonzero(ut < thresholds[t, -1][states])
+                if sale.size:
+                    sold = states[sale]
+                    slot = (ut[sale] >= thresholds[t, :-1].take(sold, axis=1)).sum(axis=0)
+                    flat = sold * scenario.n_slots + slot
+                    profit[sale] += revenue[t].take(flat)
+                    states[sale] = lat.neighbours.take(flat)
         profit -= costs[states]
         histogram += np.bincount(states, minlength=lat.n_states)
         chunks.append(profit)

@@ -3,8 +3,9 @@
 Everything here is deliberately implemented without touching the library's
 own solution paths: bisection instead of Halley or the breakpoint walk, dense
 grids instead of the stage solver, linear programming instead of the simplex
-enumeration, finite differences instead of closed-form gradients, and loops
-over bumped states instead of the lattice's neighbour table.
+enumeration, finite differences instead of closed-form gradients, loops
+over bumped states instead of the lattice's neighbour table, and a scalar
+walk and an exact policy evaluation instead of the vectorised simulator.
 """
 
 from __future__ import annotations
@@ -257,6 +258,85 @@ def brute_arrival_rate_bound(scenario):
     return -scenario.beta_price * min(gaps) / (scenario.horizon * sp.lambert_w0(weight_sum))
 
 
+def _slot_probabilities(scenario, prices, rate):
+    """Logit sale probability of each slot at ``prices`` (NaN = closed, 0)."""
+    weights = [
+        0.0 if math.isnan(d) else math.exp(scenario.beta_const + b + scenario.beta_price * d)
+        for b, d in zip(scenario.slot_betas, prices)
+    ]
+    denom = 1.0 + sum(weights)
+    return [rate * w / denom for w in weights]
+
+
+def reference_simulation(scenario, policy, reps, seed, arrival_rate=None):
+    """Profits and final-state histogram of a scalar walk, one replication at a time.
+
+    Replication i takes the next ``horizon`` uniforms of one Philox stream
+    keyed by ``seed``. A step sells when its draw is below the summed slot
+    probabilities, to the first slot whose running sum exceeds the draw.
+    """
+    rate = scenario.arrival_rate if arrival_rate is None else arrival_rate
+    lat = scenario.lattice
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    profits = np.empty(reps)
+    histogram = np.zeros(lat.n_states, dtype=np.int64)
+    for i in range(reps):
+        state, profit = (0,) * scenario.n_slots, 0.0
+        for t, u in enumerate(rng.random(scenario.horizon).tolist()):
+            prices = policy.prices[t, lat.index(state)].tolist()
+            running = list(itertools.accumulate(_slot_probabilities(scenario, prices, rate)))
+            if u < running[-1]:
+                s = next(k for k, c in enumerate(running) if u < c)
+                profit += scenario.net_revenue + prices[s]
+                state = _bump(state, s + 1)
+        profits[i] = profit - sp.cost(scenario, state)
+        histogram[lat.index(state)] += 1
+    return profits, histogram
+
+
+def exact_policy_value(scenario, policy, arrival_rate=None):
+    """Exact value layers and final-state distribution of a fixed policy.
+
+    Backward from ``V_{T+1} = -cost``: ``V_t(x) = V_{t+1}(x) + sum_s p_s(d)
+    (r + d_s + V_{t+1}(x + e_s) - V_{t+1}(x))`` at the policy's prices d.
+    Forward from the empty state, the distribution moves to ``x + e_s`` with
+    probability ``p_s`` and stays otherwise. Returns ``(values, final)``,
+    where ``values[t - 1]`` is V_t for t = 1 .. horizon + 1.
+    """
+    rate = scenario.arrival_rate if arrival_rate is None else arrival_rate
+    lat = scenario.lattice
+    states = sp.enumerate_states(scenario)
+    horizon = scenario.horizon
+    steps = [
+        [
+            (prices, _slot_probabilities(scenario, prices, rate))
+            for prices in (policy.prices[t, lat.index(x)].tolist() for x in states)
+        ]
+        for t in range(horizon)
+    ]
+    values = np.empty((horizon + 1, len(states)))
+    values[horizon] = [-sp.cost(scenario, x) for x in states]
+    for t in reversed(range(horizon)):
+        nxt = values[t + 1]
+        for ix, (x, (prices, probs)) in enumerate(zip(states, steps[t])):
+            values[t, ix] = nxt[ix] + sum(
+                p * (scenario.net_revenue + prices[s] + nxt[lat.index(_bump(x, s + 1))] - nxt[ix])
+                for s, p in enumerate(probs)
+                if p > 0.0
+            )
+    final = np.zeros(len(states))
+    final[lat.index((0,) * scenario.n_slots)] = 1.0
+    for t in range(horizon):
+        moved = np.zeros(len(states))
+        for ix, (x, (_, probs)) in enumerate(zip(states, steps[t])):
+            moved[ix] += final[ix] * (1.0 - sum(probs))
+            for s, p in enumerate(probs):
+                if p > 0.0:
+                    moved[lat.index(_bump(x, s + 1))] += final[ix] * p
+        final = moved
+    return values, final
+
+
 def random_table_cost_scenario(rng: np.random.Generator, horizon: int = 2) -> sp.Scenario:
     """A random 1- to 4-slot scenario with a tabulated delivery cost.
 
@@ -300,6 +380,17 @@ def clamped_three_slot_scenario() -> sp.Scenario:
         capacities=(3, 3, 3),
         cost=sp.AffineCost(intercept=2.0, coefficients=(1.0, 1.5, 2.0)),
     )
+
+
+def random_policy(scenario: sp.Scenario, rng: np.random.Generator) -> sp.PricePolicy:
+    """A hand-built policy: uniform in-box prices per (step, state, slot),
+    with about a quarter of the feasible slots closed at random."""
+    closed = sp.PricePolicy.all_closed(scenario)
+    feasible = scenario.lattice.states_array < np.asarray(scenario.capacities)
+    shape = closed.prices.shape
+    prices = rng.uniform(scenario.price_min, scenario.price_max, shape)
+    prices[~feasible[np.newaxis] | (rng.random(shape) < 0.25)] = np.nan
+    return sp.PricePolicy(prices, closed.values, closed.interior, closed.fingerprint)
 
 
 def random_scenario(rng: np.random.Generator, horizon: int = 3) -> sp.Scenario:

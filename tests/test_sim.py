@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 import slotpricing as sp
+from slotpricing import sim
 from slotpricing.sim import _policy_tables
 
-from oracles import clamped_three_slot_scenario, grid_stage_value
+from oracles import (
+    clamped_three_slot_scenario,
+    exact_policy_value,
+    grid_stage_value,
+    random_policy,
+    reference_simulation,
+)
 
 
 def test_all_closed_policy_is_deterministic(table1):
@@ -147,3 +154,74 @@ def test_policy_prices_near_terminal_match_grid(table1, table1_solution):
     # grid-oracle pins (step 1e-3, one refinement): boundary optimum at (2, 2)
     assert sol.prices[0] == pytest.approx(2.0, abs=1e-3)
     assert sol.prices[1] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_logit_is_rejected(table1):
+    big = dataclasses.replace(table1, beta_const=720.0)
+    policy = sp.PricePolicy.constant_price(big, 2.0)
+    with pytest.raises(ValueError, match="beta_const"):
+        sp.simulate(big, policy, 1000, seed=1)
+
+
+def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):
+    _, policy = table1_solution
+    default = sp.simulate(table1, policy, 20_000, seed=12, keep_profits=True)
+    for chunk in (7, 4096):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        other = sp.simulate(table1, policy, 20_000, seed=12, keep_profits=True)
+        assert other.profits.tobytes() == default.profits.tobytes()
+        assert np.array_equal(other.final_state_histogram, default.final_state_histogram)
+        assert other.mean_profit == default.mean_profit
+        assert other.std_error == default.std_error
+
+
+def test_simulation_matches_scalar_reference_walk(table1, table1_solution):
+    _, optimal = table1_solution
+    clamped = clamped_three_slot_scenario()
+    longer = dataclasses.replace(clamped, horizon=21)
+    rng = np.random.default_rng(5)
+    cases = [
+        (table1, optimal, None, 300),
+        (table1, sp.PricePolicy.constant_price(table1, 1.0), None, 300),
+        (table1, optimal, 0.9, 300),
+        (table1, random_policy(table1, rng), 0.9, 300),
+        (clamped, sp.solve_horizon(clamped)[1], None, 3000),
+        (longer, random_policy(longer, rng), None, 3000),
+    ]
+    for scenario, policy, rate, reps in cases:
+        result = sp.simulate(scenario, policy, reps, seed=17, arrival_rate=rate, keep_profits=True)
+        profits, histogram = reference_simulation(scenario, policy, reps, 17, arrival_rate=rate)
+        assert np.array_equal(result.final_state_histogram, histogram)
+        assert np.max(np.abs(result.profits - profits)) <= 1e-12
+
+
+def test_exact_policy_value_reproduces_solved_layer(table1, table1_solution):
+    clamped = clamped_three_slot_scenario()
+    for scenario, (values, policy) in (
+        (table1, table1_solution),
+        (clamped, sp.solve_horizon(clamped)),
+    ):
+        exact, final = exact_policy_value(scenario, policy)
+        assert np.max(np.abs(exact[0] - values.layer(1))) <= 1e-12
+        assert abs(final.sum() - 1.0) <= 1e-12
+
+
+def test_simulated_mean_matches_exact_policy_value():
+    scenario = clamped_three_slot_scenario()
+    _, optimal = sp.solve_horizon(scenario)
+    for policy in (optimal, sp.PricePolicy.constant_price(scenario, scenario.price_max)):
+        exact, _ = exact_policy_value(scenario, policy)
+        result = sp.simulate(scenario, policy, 40_000, seed=8)
+        assert abs(result.mean_profit - exact[0, 0]) <= 3.0 * result.std_error
+
+
+def test_final_state_frequencies_match_exact_distribution():
+    scenario = clamped_three_slot_scenario()
+    _, policy = sp.solve_horizon(scenario)
+    _, final = exact_policy_value(scenario, policy)
+    n = 40_000
+    counts = sp.simulate(scenario, policy, n, seed=31).final_state_histogram
+    sigma = np.sqrt(n * final * (1.0 - final))
+    assert np.all(np.abs(counts - n * final) <= 4.0 * sigma)

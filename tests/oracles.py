@@ -259,7 +259,7 @@ def brute_arrival_rate_bound(scenario):
 
 
 def _slot_probabilities(scenario, prices, rate):
-    """Logit sale probability of each slot at ``prices`` (NaN = closed, 0)."""
+    """Logit sale probability of each slot at ``prices``; 0 where closed (NaN)."""
     weights = [
         0.0 if math.isnan(d) else math.exp(scenario.beta_const + b + scenario.beta_price * d)
         for b, d in zip(scenario.slot_betas, prices)

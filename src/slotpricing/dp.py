@@ -2,7 +2,8 @@
 
 Layers are indexed by the time step t: layer t_bar + 1 is the terminal
 condition (minus the delivery cost) and layer t - 1 arises from layer t by
-solving the stage price problem in every state. The recursion also has a
+solving the stage price problem in every state, all states of a layer at once
+in numpy arrays by the pricing module's layer solver. The recursion also has a
 closed-form stationary solution, a hyperplane in the order counts, which is
 exposed for verification and as an upper envelope.
 """
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import Scenario, cost_values, marginal_profit_violations
-from .pricing import OpportunityCosts, StageSolution, _StageSolver
+from .pricing import OpportunityCosts, StageSolution, _layer_solve
 
 DEFAULT_MAX_STATES = 10_000_000
 
@@ -141,70 +142,19 @@ def fixed_point(scenario: Scenario) -> np.ndarray:
     return out
 
 
-def _sweep(
-    solver: _StageSolver,
-    neighbours: np.ndarray,
-    v_next: np.ndarray,
-    policy_prices: Optional[np.ndarray] = None,
-    policy_interior: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One application of the stage optimisation to every state.
-
-    States are grouped by their set of feasible slots, so each group's
-    opportunity costs ``v_next(x) - v_next(x + 1_s)`` come from one array
-    operation before the scalar solver prices them state by state. States with
-    every slot full keep ``v_next``.
-    """
-    feasible = neighbours >= 0
-    pattern = feasible @ (1 << np.arange(feasible.shape[1]))
-    out = v_next.astype(float)
-    for key in np.unique(pattern):
-        rows = np.flatnonzero(pattern == key)
-        cols = np.flatnonzero(feasible[rows[0]])
-        if not cols.size:
-            continue
-        slots = tuple((cols + 1).tolist())
-        opp = v_next[rows, np.newaxis] - v_next[neighbours[np.ix_(rows, cols)]]
-        prices, surplus, interior = zip(*(solver.solve(slots, z) for z in opp.tolist()))
-        out[rows] += surplus
-        if policy_prices is not None:
-            policy_prices[np.ix_(rows, cols)] = prices
-            policy_interior[rows] = interior
-    return out
-
-
-def _sweep_horizon(
-    scenario: Scenario, v: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-optimal prices and interior flags at every step t, each against ``v[t]``.
-
-    Sweeps t = horizon .. 1 and stores the stage values in ``out[t - 1]``, so
-    ``out=v`` runs the backward induction in place.
-    """
-    t_bar = scenario.horizon
-    n = scenario.lattice.n_states
-    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
-    interior = np.zeros((t_bar, n), dtype=bool)
-    solver = _StageSolver(scenario)
-    for t in range(t_bar, 0, -1):
-        out[t - 1] = _sweep(
-            solver, scenario.lattice.neighbours, v[t], prices[t - 1], interior[t - 1]
-        )
-    return prices, interior
-
-
 def bellman_apply(scenario: Scenario, v: np.ndarray) -> np.ndarray:
     """One backward step: the stage-optimal value in every state.
 
-    States at full capacity are left unchanged (nothing can be offered), so
-    the full-lattice corner is invariant.
+    The whole lattice is solved as one layer. States at full capacity are
+    left unchanged (nothing can be offered), so the full-lattice corner is
+    invariant.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (scenario.lattice.n_states,):
         raise ValueError(f"expected {scenario.lattice.n_states} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    return _sweep(_StageSolver(scenario), scenario.lattice.neighbours, v)
+    return _layer_solve(scenario, v, np.arange(scenario.lattice.n_states))[0]
 
 
 def bellman_residual(scenario: Scenario, v: np.ndarray) -> float:
@@ -238,7 +188,11 @@ def solve_horizon(
             f"states ({exc})"
         ) from exc
     values[t_bar] = terminal_values(scenario)
-    prices, interior = _sweep_horizon(scenario, values, values)
+    prices = np.full((t_bar, lat.n_states, scenario.n_slots), np.nan)
+    interior = np.zeros((t_bar, lat.n_states), dtype=bool)
+    rows = np.arange(lat.n_states)
+    for t in range(t_bar, 0, -1):
+        values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(scenario, values[t], rows)
     fingerprint = scenario.fingerprint()
     values.flags.writeable = False
     vf = ValueFunction(values=values, fingerprint=fingerprint)
@@ -258,8 +212,15 @@ def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy
         raise ValueError("value function was computed for a different scenario")
     if values.horizon != scenario.horizon:
         raise ValueError("value function horizon does not match the scenario")
-    stage_values = np.empty((scenario.horizon, scenario.lattice.n_states))
-    prices, interior = _sweep_horizon(scenario, values.values, stage_values)
+    t_bar, n = scenario.horizon, scenario.lattice.n_states
+    stage_values = np.empty((t_bar, n))
+    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
+    interior = np.zeros((t_bar, n), dtype=bool)
+    rows = np.arange(n)
+    for t in range(t_bar, 0, -1):
+        stage_values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(
+            scenario, values.values[t], rows
+        )
     return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 
 

@@ -11,6 +11,11 @@ closed form through the Lambert W function. With the box, every slot still
 charges its opportunity cost minus ``net_revenue`` plus one common markup, now
 clamped to the box; the markup has a closed form once the clamped slots are
 known, and those follow from where it falls among the slots' breakpoints.
+
+One solver prices a whole layer of states at once, in numpy arrays over the
+states and slots; the backward induction hands it every state of a layer, and
+``solve_stage`` a single state. Lambert W stays the scalar ``lambert_w0``,
+called once per row for the closed form and once more per clamped row.
 """
 
 from __future__ import annotations
@@ -179,110 +184,110 @@ def stage_objective(
     return float(v_next[ix]) + stage_surplus(scenario, oc, open_prices)
 
 
-class _StageSolver:
-    """Reusable stage optimiser with per-scenario constants precomputed.
+_OVERFLOW = (
+    "a logit utility exceeds the float range; check beta_const, the slot betas, "
+    "beta_price and the price box"
+)
 
-    The backward sweep calls ``solve`` once per state per time step, so the
-    hot path is scalar math on plain floats.
+
+def _lambert_layer(y: np.ndarray) -> np.ndarray:
+    """``lambert_w0`` of every entry; a non-finite entry means a utility overflowed."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError(_OVERFLOW)
+    return np.array([lambert_w0(x) for x in y.tolist()])
+
+
+def _layer_solve(
+    scenario: Scenario, v_next: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage values, prices and interior flags of the states ``rows``, as arrays.
+
+    ``v_next`` holds the finite next-step values of every state. Row i of the
+    result belongs to state ``rows[i]``: its stage value, its prices (NaN on
+    full slots) and whether the closed-form prices fell inside the box. A
+    state with every slot full keeps ``v_next`` and is not interior. Lambert W
+    is evaluated once per row with an open slot and once more per clamped row.
     """
+    lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
+    lo, hi = scenario.price_min, scenario.price_max
+    c = scenario.beta_const + np.asarray(scenario.slot_betas, dtype=float)
+    nbr = scenario.lattice.neighbours[rows]
+    offered = nbr >= 0
+    values = v_next[rows]
+    a = np.where(offered, r - (values[:, np.newaxis] - v_next[nbr]), 0.0)  # net_revenue - z
 
-    def __init__(self, scenario: Scenario):
-        self.lam = scenario.arrival_rate
-        self.bd = scenario.beta_price
-        self.r = scenario.net_revenue
-        self.lo = scenario.price_min
-        self.hi = scenario.price_max
-        # Per-slot utility constants, indexed by 0-based slot.
-        self.cs = tuple(scenario.beta_const + b for b in scenario.slot_betas)
+    def surplus(a, d, offered):
+        u = np.where(offered, np.exp(c + bd * d), 0.0)
+        return lam * (u * (a + d)).sum(axis=-1) / (1.0 + u.sum(axis=-1))
 
-    def solve(
-        self, slots: Sequence[int], opp: Sequence[float]
-    ) -> tuple[tuple[float, ...], float, bool]:
-        """Optimal in-box prices for the offered ``slots`` (1-based).
-
-        Returns ``(prices, surplus, interior)`` with prices aligned to
-        ``slots``.
-        """
-        lam, bd, r = self.lam, self.bd, self.r
-        cs = [self.cs[s - 1] for s in slots]
-        a = [r - z for z in opp]
-
-        total = sum(math.exp(c + bd * (z - r) - 1.0) for c, z in zip(cs, opp))
-        w = lambert_w0(total)
-        markup = -(1.0 + w) / bd
-        d_unc = [z - r + markup for z in opp]
-        if all(self.lo <= d <= self.hi for d in d_unc):
-            return tuple(d_unc), -lam / bd * w, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = np.flatnonzero(offered.any(axis=1))
+        a_live, o_live = a[live], offered[live]
+        w = _lambert_layer(np.where(o_live, np.exp(c - bd * a_live - 1.0), 0.0).sum(axis=1))
+        prices = (-(1.0 + w) / bd)[:, np.newaxis] - a_live
+        inside = np.all(~o_live | ((lo <= prices) & (prices <= hi)), axis=1)
+        gain = -lam / bd * w
 
         # Off the box the optimum is still d_j = clamp(m - a_j) for one markup
         # m: the unique root of g(m) = surplus/lam - 1/bd - m, positive to its
         # left and negative to its right. Walking the breakpoints lo + a_j
-        # (slot j leaves lo) and hi + a_j (slot j reaches hi) while g >= 0
-        # finds the interval holding the root, which fixes the clamped slots.
-        lo, hi = self.lo, self.hi
-        breaks = sorted(
-            [(lo + ak, j, None) for j, ak in enumerate(a)]
-            + [(hi + ak, j, hi) for j, ak in enumerate(a)],
-            key=lambda b: b[0],
-        )
-        fixed: list[Optional[float]] = [lo] * len(a)
-        for m, j, d in breaks:
-            if self._value(cs, a, self._clamp(a, m)) / lam - 1.0 / bd - m < 0.0:
-                break
-            fixed[j] = d
+        # (slot j leaves lo) and hi + a_j (slot j reaches hi) in order while
+        # g >= 0 finds the interval holding the root, which fixes the clamped
+        # slots. The stable sort keeps every lo entry ahead of a tied hi entry.
+        out = ~inside
+        ac, oc = a_live[out], o_live[out]
+        breaks = np.where(np.hstack([oc, oc]), np.hstack([lo + ac, hi + ac]), np.inf)
+        order = np.argsort(breaks, axis=1, kind="stable")
+        m = np.take_along_axis(breaks, order, axis=1)
+        d = np.clip(m[:, :, np.newaxis] - ac[:, np.newaxis], lo, hi)
+        g = surplus(ac[:, np.newaxis], d, oc[:, np.newaxis]) / lam - 1.0 / bd - m
+        passed = np.empty_like(order, dtype=bool)
+        np.put_along_axis(passed, order, np.logical_and.accumulate(g >= 0.0, axis=1), axis=1)
+        n = scenario.n_slots
+        at_hi = passed[:, n:]
+        free = oc & passed[:, :n] & ~at_hi
+        fixed = np.where(at_hi, hi, lo)
         # For this clamped set, with K = 1 + sum u_k and A = sum u_k (a_k + d_k)
         # over the clamped slots and y the free slots' weights at markup A/K,
         # the root is m = A/K - (1 + W(y/K)) / bd.
-        k_sum, a_sum = 1.0, 0.0
-        for c, ak, d in zip(cs, a, fixed):
-            if d is not None:
-                u = math.exp(c + bd * d)
-                k_sum += u
-                a_sum += u * (ak + d)
-        shift = a_sum / k_sum
-        y = sum(
-            math.exp(c + bd * (shift - ak) - 1.0) for c, ak, d in zip(cs, a, fixed) if d is None
-        )
-        prices = self._clamp(a, shift - (1.0 + lambert_w0(y / k_sum)) / bd)
-        return prices, self._value(cs, a, prices), False
-
-    def _clamp(self, a, m) -> tuple[float, ...]:
-        return tuple(min(max(m - ak, self.lo), self.hi) for ak in a)
-
-    def _value(self, cs, a, d) -> float:
-        num = 0.0
-        den = 1.0
-        for c, ak, dk in zip(cs, a, d):
-            u = math.exp(c + self.bd * dk)
-            num += u * (ak + dk)
-            den += u
-        return self.lam * num / den
+        u = np.where(oc & ~free, np.exp(c + bd * fixed), 0.0)
+        k_sum = 1.0 + u.sum(axis=1)
+        shift = (u * (ac + fixed)).sum(axis=1) / k_sum
+        y = np.where(free, np.exp(c + bd * (shift[:, np.newaxis] - ac) - 1.0), 0.0).sum(axis=1)
+        markup = shift - (1.0 + _lambert_layer(y / k_sum)) / bd
+        prices[out] = np.clip(markup[:, np.newaxis] - ac, lo, hi)
+        gain[out] = surplus(ac, prices[out], oc)
+        values[live] += gain
+    if not np.all(np.isfinite(values)):
+        raise ValueError(_OVERFLOW)
+    layer_prices = np.full(nbr.shape, np.nan)
+    layer_prices[live] = np.where(o_live, prices, np.nan)
+    interior = np.zeros(len(values), dtype=bool)
+    interior[live] = inside
+    return values, layer_prices, interior
 
 
 def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) -> StageSolution:
     """Optimal stage prices and value for one state against next-step values.
 
-    With no feasible slot everything is closed and the value is
-    ``v_next(state)``. Otherwise every feasible slot is offered: at the
-    closed-form prices when those fall inside the box, else at the unique
-    constrained optimum, where every slot charges its opportunity cost minus
-    ``net_revenue`` plus one common markup, clamped to the box.
+    The state is solved as a one-row layer. With no feasible slot everything
+    is closed and the value is ``v_next(state)``. Otherwise every feasible
+    slot is offered: at the closed-form prices when those fall inside the box,
+    else at the unique constrained optimum, where every slot charges its
+    opportunity cost minus ``net_revenue`` plus one common markup, clamped to
+    the box.
     """
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]
     v_next = np.asarray(v_next, dtype=float)
-    cols = np.flatnonzero(nbr >= 0)
-    if not np.all(np.isfinite(v_next[[ix, *nbr[cols]]])):
+    if not np.all(np.isfinite(v_next[[ix, *nbr[nbr >= 0]]])):
         raise ValueError("next-step values must be finite")
-    if not cols.size:
-        return StageSolution(prices=(None,) * scenario.n_slots, value=float(v_next[ix]), interior=False)
-    slots = tuple((cols + 1).tolist())
-    opp = (v_next[ix] - v_next[nbr[cols]]).tolist()
-    prices, surplus, interior = _StageSolver(scenario).solve(slots, opp)
-    full: list[Optional[float]] = [None] * scenario.n_slots
-    for s, d in zip(slots, prices):
-        full[s - 1] = d
-    return StageSolution(prices=tuple(full), value=float(v_next[ix]) + surplus, interior=interior)
+    values, prices, interior = _layer_solve(scenario, v_next, np.array([ix]))
+    return StageSolution(
+        prices=tuple(None if math.isnan(d) else d for d in prices[0].tolist()),
+        value=float(values[0]),
+        interior=bool(interior[0]),
+    )
 
 
 def prices_from_probabilities(

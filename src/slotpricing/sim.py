@@ -65,13 +65,11 @@ def _policy_tables(
     if np.any(open_mask & (scenario.lattice.neighbours < 0)):
         raise ValueError("policy offers a slot that is at capacity")
     betas = np.asarray(scenario.slot_betas, dtype=float)
-    weights = np.where(
-        open_mask,
-        np.exp(scenario.beta_const + betas + scenario.beta_price * np.where(open_mask, prices, 0.0)),
-        0.0,
-    )
-    denom = weights.sum(axis=2, keepdims=True) + 1.0
-    cum = np.cumsum(arrival_rate * weights / denom, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        price_term = scenario.beta_price * np.where(open_mask, prices, 0.0)
+        weights = np.where(open_mask, np.exp(scenario.beta_const + betas + price_term), 0.0)
+        denom = weights.sum(axis=2, keepdims=True) + 1.0
+        cum = np.cumsum(arrival_rate * weights / denom, axis=2)
     if not np.all(np.isfinite(cum[:, :, -1])):
         raise ValueError(
             "a sale probability is not finite (a logit utility exceeds the float range); "

@@ -251,13 +251,16 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
+# At 708.5 each slot weight is finite but their sum overflows; at 720 one weight does.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta_const", [708.5, 720.0])
 @pytest.mark.parametrize(
     "args",
     [["solve", "--out-values", "v.csv", "--out-policy", "p.csv"], ["fixed-point", "--out", "f.csv"]],
 )
-def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args):
+def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args, beta_const):
     doc = json.loads(EXAMPLE_SCENARIO)
-    doc["beta_const"] = 720.0
+    doc["beta_const"] = beta_const
     doc["horizon"] = 5
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))

@@ -6,7 +6,12 @@ import pytest
 
 import slotpricing as sp
 
-from oracles import grid_stage_value
+from oracles import (
+    bisect_stage_markup,
+    clamped_three_slot_scenario,
+    grid_stage_value,
+    random_table_cost_scenario,
+)
 
 
 def test_terminal_values(table1):
@@ -64,6 +69,45 @@ def test_bellman_apply_validates_input(table1):
     bad[3] = math.inf
     with pytest.raises(ValueError, match="finite"):
         sp.bellman_apply(table1, bad)
+
+
+def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
+    calls = []
+    kernel = sp.pricing.lambert_w0
+    monkeypatch.setattr(sp.pricing, "lambert_w0", lambda y: calls.append(y) or kernel(y))
+    rng = np.random.default_rng(2718)
+    scenarios = [dataclasses.replace(clamped_three_slot_scenario(), horizon=2)]
+    scenarios += [random_table_cost_scenario(rng) for _ in range(10)]
+    partly_full = mixed_layers = 0
+    for scenario in scenarios:
+        values, policy = sp.solve_horizon(scenario)
+        lat = scenario.lattice
+        feasible = lat.neighbours >= 0
+        offered = feasible.any(axis=1)
+        partly_full += int(np.sum(offered & ~feasible.all(axis=1)))
+        for t in range(1, scenario.horizon + 1):
+            v_next = values.layer(t + 1)
+            calls.clear()
+            applied = sp.bellman_apply(scenario, v_next)
+            assert np.array_equal(applied, values.layer(t))
+            interior = policy.interior[t - 1]
+            clamped = offered & ~interior
+            assert len(calls) == offered.sum() + clamped.sum()
+            mixed_layers += bool(interior.any() and clamped.any())
+            prices = policy.prices[t - 1]
+            assert np.array_equal(np.isnan(prices), ~feasible)
+            for ix, state in enumerate(lat.states()):
+                if not offered[ix]:
+                    assert applied[ix] == v_next[ix] and not interior[ix]
+                    continue
+                alone = sp.solve_stage(scenario, state, v_next)
+                assert alone.value == applied[ix] and alone.interior == interior[ix]
+                assert alone.prices == tuple(None if math.isnan(d) else d for d in prices[ix])
+                oracle_prices, oracle_value = bisect_stage_markup(scenario, state, v_next)
+                assert applied[ix] == pytest.approx(oracle_value, abs=1e-10)
+                assert np.max(np.abs(prices[ix, feasible[ix]] - oracle_prices)) <= 1e-10
+    assert partly_full > 0
+    assert mixed_layers > 0
 
 
 def test_bellman_residual_values(table1):

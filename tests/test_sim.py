@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,8 +162,10 @@ def test_policy_prices_near_terminal_match_grid(table1, table1_solution):
 def test_overflowing_logit_is_rejected(table1):
     big = dataclasses.replace(table1, beta_const=720.0)
     policy = sp.PricePolicy.constant_price(big, 2.0)
-    with pytest.raises(ValueError, match="beta_const"):
-        sp.simulate(big, policy, 1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beta_const"):
+            sp.simulate(big, policy, 1000, seed=1)
 
 
 def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):

@@ -5,11 +5,16 @@ booking step to decide whether a customer arrives and which open slot (if
 any) they choose at the policy's prices, collects net revenue plus delivery
 charge per sale, and finally subtracts the delivery cost of the end state.
 The sample mean cross-validates the solved value at the initial state.
+
+Replications run in blocks, each with its own Philox generator at the
+counter offset of its first draw; two threads walk the blocks, and the
+results are assembled in block order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,9 +24,12 @@ from .dp import PricePolicy
 from .model import Scenario, cost_values
 
 GENERATOR = "numpy.random.Philox"
-# Replications per uniform-matrix block; results are block-size invariant
-# because the Philox stream is consumed in counter order.
-_CHUNK = 32_768
+# Replications per uniform-matrix block; each block's generator starts at
+# its own Philox counter offset, so results are block-size invariant.
+# _WORKERS blocks are in flight; below about 8k rows the threads mostly
+# wait for the interpreter lock.
+_CHUNK = 12_288
+_WORKERS = 2
 _STEPS = 8  # booking steps per transposed slice of a block: a cache line per row
 
 
@@ -91,18 +99,25 @@ def simulate(
     """Estimate the expected booking-horizon profit of ``policy``.
 
     Bit-reproducible for a fixed ``seed``: replication i consumes exactly the
-    draws ``[i * horizon, (i + 1) * horizon)`` of a single counter-based
-    Philox stream keyed by ``seed``, so results do not depend on internal
-    batching. A step tests every row's draw against its state's sale
-    probability; only the rows that sell look up their slot, the number of
-    cumulative thresholds at or below the draw. ``arrival_rate`` optionally
+    draws ``[i * horizon, (i + 1) * horizon)`` of the counter-based Philox
+    stream keyed by ``seed``. Each block of replications opens that stream
+    at its own first draw (counter ``first // 4``, then ``first % 4`` draws
+    skipped: Philox yields four draws per counter step). Two worker threads
+    walk the blocks, and their profits and final-state counts are joined in
+    block order, so results depend neither on the block size nor on which
+    thread ran a block. A step tests every row's draw against its state's
+    sale probability; only the rows that sell look up their slot, the number
+    of cumulative thresholds at or below the draw. ``arrival_rate`` optionally
     overrides the scenario's rate (0.0 is allowed here, unlike in the
     solver). Profits are summed in replication order, and the mean uses
-    index-ordered pairwise summation. ``ValueError`` is raised when a sale
+    index-ordered pairwise summation. ``ValueError`` is raised when ``seed``
+    lies outside ``[0, 2**128)``, before any thread starts, and when a sale
     probability is not finite because a logit utility overflows.
     """
     if reps < 1:
         raise ValueError("at least one replication is required")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
     if policy.fingerprint != scenario.fingerprint():
         raise ValueError("policy was computed for a different scenario")
     if policy.horizon != scenario.horizon:
@@ -115,14 +130,17 @@ def simulate(
     cum, revenue = _policy_tables(scenario, policy, lam)
     thresholds = np.ascontiguousarray(cum.transpose(0, 2, 1))  # [t, -1]: sale probability
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    histogram = np.zeros(lat.n_states, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    u = np.empty((min(_CHUNK, reps), scenario.horizon))
-    done = 0
-    while done < reps:
-        size = min(_CHUNK, reps - done)
-        block = rng.random(out=u[:size])
+    buffers = threading.local()  # one uniform matrix per worker thread
+
+    def walk(start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Profits and final-state counts of replications ``start`` onwards."""
+        size = min(_CHUNK, reps - start)
+        first = start * scenario.horizon  # four draws per Philox counter step
+        bits = np.random.Philox(key=seed, counter=first // 4)
+        bits.random_raw(first % 4)
+        if not hasattr(buffers, "u"):
+            buffers.u = np.empty((min(_CHUNK, reps), scenario.horizon))
+        block = np.random.Generator(bits).random(out=buffers.u[:size])
         states = np.zeros(size, dtype=np.int64)
         profit = np.zeros(size)
         for t0 in range(0, scenario.horizon, _STEPS):
@@ -135,10 +153,14 @@ def simulate(
                     profit[sale] += revenue[t].take(flat)
                     states[sale] = lat.neighbours.take(flat)
         profit -= costs[states]
-        histogram += np.bincount(states, minlength=lat.n_states)
-        chunks.append(profit)
-        done += size
-    profits = np.concatenate(chunks)
+        return profit, np.bincount(states, minlength=lat.n_states)
+
+    from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        blocks = list(pool.map(walk, range(0, reps, _CHUNK)))
+    profits = np.concatenate([profit for profit, _ in blocks])
+    histogram = np.sum([counts for _, counts in blocks], axis=0)
     mean = float(np.sum(profits) / reps)
     std_error = float(np.std(profits, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     histogram.flags.writeable = False

@@ -286,6 +286,15 @@ def test_horizon_beyond_memory_exits_one(tmp_path, monkeypatch, capsys, args):
     assert "Traceback" not in err
 
 
+def test_negative_seed_exits_one(short_scenario_file, capsys):
+    argv = ["simulate", "--scenario", short_scenario_file, "--reps", "10", "--seed", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be an integer" in err
+    assert "got -1" in err
+    assert "Traceback" not in err
+
+
 def test_concavity_refuses_large_lattice_before_solving(tmp_path, monkeypatch, capsys):
     doc = json.loads(EXAMPLE_SCENARIO)
     for slot in doc["slots"]:

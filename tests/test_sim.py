@@ -87,6 +87,15 @@ def test_policy_scenario_guards(table1, table1_solution):
         sp.simulate(table1, policy, 0, seed=1)
 
 
+def test_seed_outside_philox_key_range_is_rejected(table1):
+    policy = sp.PricePolicy.all_closed(table1)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sp.simulate(table1, policy, 10, seed=seed)
+    for seed in (0, 2**128 - 1):
+        assert sp.simulate(table1, policy, 10, seed=seed).seed == seed
+
+
 def test_step_frequencies_match_choice_model(table1, table1_solution):
     _, policy = table1_solution
     cum, _ = _policy_tables(table1, policy, table1.arrival_rate)
@@ -169,18 +178,22 @@ def test_overflowing_logit_is_rejected(table1):
 
 
 def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):
-    _, policy = table1_solution
-    default = sp.simulate(table1, policy, 20_000, seed=12, keep_profits=True)
-    for chunk in (7, 4096):
-        monkeypatch.setattr(sim, "_CHUNK", chunk)
-        other = sp.simulate(table1, policy, 20_000, seed=12, keep_profits=True)
-        assert other.profits.tobytes() == default.profits.tobytes()
-        assert np.array_equal(other.final_state_histogram, default.final_state_histogram)
-        assert other.mean_profit == default.mean_profit
-        assert other.std_error == default.std_error
+    longer = dataclasses.replace(clamped_three_slot_scenario(), horizon=21)
+    # horizon 21: most blocks start inside a Philox counter step
+    cases = [(table1, table1_solution[1], 20_000), (longer, sp.solve_horizon(longer)[1], 10_001)]
+    for scenario, policy, reps in cases:
+        default = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
+        for chunk in (7, 4096):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            other = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
+            assert other.profits.tobytes() == default.profits.tobytes()
+            assert np.array_equal(other.final_state_histogram, default.final_state_histogram)
+            assert other.mean_profit == default.mean_profit
+            assert other.std_error == default.std_error
+        monkeypatch.undo()
 
 
-def test_simulation_matches_scalar_reference_walk(table1, table1_solution):
+def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monkeypatch):
     _, optimal = table1_solution
     clamped = clamped_three_slot_scenario()
     longer = dataclasses.replace(clamped, horizon=21)
@@ -194,10 +207,16 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution):
         (longer, random_policy(longer, rng), None, 3000),
     ]
     for scenario, policy, rate, reps in cases:
-        result = sp.simulate(scenario, policy, reps, seed=17, arrival_rate=rate, keep_profits=True)
         profits, histogram = reference_simulation(scenario, policy, reps, 17, arrival_rate=rate)
-        assert np.array_equal(result.final_state_histogram, histogram)
-        assert np.max(np.abs(result.profits - profits)) <= 1e-12
+        # small blocks put many blocks, at nonzero counter offsets, on both workers
+        for chunk in (sim._CHUNK, 7, 64):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            result = sp.simulate(
+                scenario, policy, reps, seed=17, arrival_rate=rate, keep_profits=True
+            )
+            assert np.array_equal(result.final_state_histogram, histogram)
+            assert np.max(np.abs(result.profits - profits)) <= 1e-12
+        monkeypatch.undo()
 
 
 def test_exact_policy_value_reproduces_solved_layer(table1, table1_solution):

@@ -45,6 +45,10 @@ EXAMPLE_SCENARIO = """\
 }
 """
 
+# --profits-csv formats this many rows at a time, so that the Python floats of
+# a large run never exist all at once.
+_PROFIT_ROWS = 65_536
+
 
 def _fmt(value: float) -> str:
     """Shortest decimal that round-trips to the same float."""
@@ -88,29 +92,38 @@ def _state_labels(scenario: Scenario) -> list[str]:
     return [",".join(map(str, x)) for x in scenario.lattice.states_array.tolist()]
 
 
+def _csv_rows(head: str, keys: Sequence, values: list) -> str:
+    """The CSV lines ``{head}{key},{value!r}`` of paired keys and Python floats.
+
+    ``repr`` of a float is its shortest round-trip decimal, as in ``_fmt``.
+    """
+    return "".join([f"{head}{key},{v!r}\n" for key, v in zip(keys, values)])
+
+
 def _write_values_csv(path: str, scenario: Scenario, values: ValueFunction) -> int:
     labels = _state_labels(scenario)
     with open(path, "w", newline="") as f:
         f.write(f"t,{_state_header(scenario.n_slots)},value\n")
         for t in range(1, scenario.horizon + 2):
-            f.writelines(f"{t},{x},{_fmt(v)}\n" for x, v in zip(labels, values.layer(t).tolist()))
+            f.write(_csv_rows(f"{t},", labels, values.layer(t).tolist()))
     return (scenario.horizon + 1) * len(labels)
 
 
 def _write_policy_csv(path: str, scenario: Scenario, policy) -> int:
-    labels = _state_labels(scenario)
+    # One key per (state, slot), state-major like the flattened price layer.
+    keys = np.array(
+        [f"{x},{s}" for x in _state_labels(scenario) for s in range(1, scenario.n_slots + 1)],
+        dtype=object,
+    )
     rows = 0
     with open(path, "w", newline="") as f:
         f.write(f"t,{_state_header(scenario.n_slots)},slot,price\n")
         # One time layer at a time keeps the temporaries one layer in size.
         for t, layer in enumerate(policy.prices, start=1):
-            ix, slot = np.nonzero(~np.isnan(layer))
-            prices = layer[ix, slot].tolist()
-            f.writelines(
-                f"{t},{labels[i]},{s + 1},{_fmt(d)}\n"
-                for i, s, d in zip(ix.tolist(), slot.tolist(), prices)
-            )
-            rows += len(prices)
+            flat = layer.ravel()
+            offered = np.flatnonzero(~np.isnan(flat))
+            f.write(_csv_rows(f"{t},", keys[offered].tolist(), flat[offered].tolist()))
+            rows += len(offered)
     return rows
 
 
@@ -168,7 +181,7 @@ def _cmd_fixed_point(args) -> int:
     labels = _state_labels(scenario)
     with open(args.out, "w", newline="") as f:
         f.write(f"{_state_header(scenario.n_slots)},value\n")
-        f.writelines(f"{x},{_fmt(v)}\n" for x, v in zip(labels, stationary.tolist()))
+        f.write(_csv_rows("", labels, stationary.tolist()))
     print(f"fixed-point residual sup-norm: {_fmt(residual)}")
     print(f"wrote {args.out} ({len(labels)} rows)")
     _emit_manifest("fixed-point", t0, args.scenario, raw, outputs=[args.out])
@@ -185,6 +198,8 @@ def _cmd_concavity(args) -> int:
             raise ValueError("--corrupt-t, --corrupt-state and --corrupt-delta go together")
         if not 1 <= args.corrupt_t <= scenario.horizon:
             raise ValueError(f"--corrupt-t must lie in 1..{scenario.horizon}")
+        if not math.isfinite(args.corrupt_delta):
+            raise ValueError(f"--corrupt-delta must be finite, got {args.corrupt_delta!r}")
         corrupt_ix = scenario.lattice.index(_parse_state(args.corrupt_state))
     # Enumerate before solving, so that a lattice above the limit fails fast.
     enclosings = enumerate_enclosings(scenario)
@@ -270,8 +285,9 @@ def _cmd_simulate(args) -> int:
     if args.profits_csv is not None:
         with open(args.profits_csv, "w", newline="") as f:
             f.write("replication,profit\n")
-            for i, p in enumerate(result.profits):
-                f.write(f"{i},{_fmt(p)}\n")
+            for start in range(0, len(result.profits), _PROFIT_ROWS):
+                block = result.profits[start : start + _PROFIT_ROWS].tolist()
+                f.write(_csv_rows("", range(start, start + len(block)), block))
         outputs.append(args.profits_csv)
     print(
         f"simulate reps={result.replications} seed={result.seed} "

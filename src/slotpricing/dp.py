@@ -170,8 +170,11 @@ def solve_horizon(
     Produces the dense value table for t = 1 .. horizon + 1 together with the
     optimal prices chosen at every (t, state). Deterministic: identical inputs
     give bit-identical tables. Dense storage needs
-    ``8 * (horizon + 1) * n_states`` bytes, so scenarios beyond ``max_states``
-    states are refused rather than thrashing.
+    ``8 * (horizon + 1) * n_states`` bytes for the values,
+    ``8 * horizon * n_states * n_slots`` for the prices, ``horizon * n_states``
+    for the ``interior`` flags and ``8 * horizon * n_states`` for the policy's
+    copy of the stage values, so scenarios beyond ``max_states`` states are
+    refused rather than thrashing.
     """
     lat = scenario.lattice
     if lat.n_states > max_states:

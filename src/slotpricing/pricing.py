@@ -154,7 +154,9 @@ def stage_objective(
     ``sum_s p_s(d) * (net_revenue + d_s + v_next(state + 1_s) - v_next(state))
     + v_next(state)`` with the sum over open slots. Open slots must be
     feasible and priced inside the box; with every slot closed the result is
-    ``v_next(state)``.
+    ``v_next(state)``. A feasible slot may be closed (``None``), an action
+    that ``solve_stage`` never takes, so such a vector can exceed the stage
+    value where the box clamps prices at ``price_max`` (see ``solve_stage``).
     """
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]
@@ -272,10 +274,15 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
 
     The state is solved as a one-row layer. With no feasible slot everything
     is closed and the value is ``v_next(state)``. Otherwise every feasible
-    slot is offered: at the closed-form prices when those fall inside the box,
-    else at the unique constrained optimum, where every slot charges its
-    opportunity cost minus ``net_revenue`` plus one common markup, clamped to
-    the box.
+    slot is offered at a price in the box: at the closed-form prices when
+    those fall inside it, else at the unique constrained optimum, where every
+    slot charges its opportunity cost minus ``net_revenue`` plus one common
+    markup, clamped to the box. The optimum is taken over these all-open
+    vectors only. Closing a feasible slot can earn more: the boxed3
+    benchmark scenario of seed 11 prices state (5, 0, 1) at t=60 at 2.0, the
+    box's upper edge, on all three slots; closing slot 3, whose opportunity
+    cost is 2.0, and keeping slots 1 and 2 at 2.0 gives a ``stage_objective``
+    1.81e-3 above the stage value.
     """
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -98,6 +100,63 @@ def test_solve_csvs_parse_back_to_the_tables(tmp_path, capsys):
     assert np.array_equal(dense, policy.prices, equal_nan=True)
 
 
+def _csv_module_text(header, rows):
+    """CSV text written by the csv module, which formats floats with repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [sp.load_scenario(EXAMPLE_SCENARIO), clamped_three_slot_scenario()],
+    ids=["example", "clamped"],
+)
+def test_csv_bytes_match_the_csv_module(scenario, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # Seven profit rows per write, so that 40 replications span six writes.
+    monkeypatch.setattr(cli, "_PROFIT_ROWS", 7)
+    (tmp_path / "s.json").write_text(scenario.to_json())
+    assert main(["solve", "--scenario", "s.json"]) == 0
+    assert main(["fixed-point", "--scenario", "s.json"]) == 0
+    argv = ["simulate", "--scenario", "s.json", "--reps", "40", "--seed", "3"]
+    assert main(argv + ["--profits-csv", "profits.csv"]) == 0
+    stdout = capsys.readouterr().out
+
+    values, policy = sp.solve_horizon(scenario)
+    states = scenario.lattice.states_array.tolist()
+    xs = [f"x_{s}" for s in range(1, scenario.n_slots + 1)]
+    value_rows = [
+        [t, *x, float(v)]
+        for t, layer in enumerate(values.values, start=1)
+        for x, v in zip(states, layer)
+    ]
+    policy_rows = [
+        [t, *x, slot, float(d)]
+        for t, layer in enumerate(policy.prices, start=1)
+        for x, row in zip(states, layer)
+        for slot, d in enumerate(row, start=1)
+        if not math.isnan(d)
+    ]
+    fixed_rows = [[*x, float(v)] for x, v in zip(states, sp.fixed_point(scenario))]
+    profits = sp.simulate(scenario, policy, 40, 3, keep_profits=True).profits
+    expected = {
+        "values.csv": _csv_module_text(["t", *xs, "value"], value_rows),
+        "policy.csv": _csv_module_text(["t", *xs, "slot", "price"], policy_rows),
+        "fixed_point.csv": _csv_module_text([*xs, "value"], fixed_rows),
+        "profits.csv": _csv_module_text(
+            ["replication", "profit"], [[i, float(p)] for i, p in enumerate(profits)]
+        ),
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+    for name, rows in [("values.csv", value_rows), ("policy.csv", policy_rows),
+                       ("fixed_point.csv", fixed_rows)]:
+        assert f"wrote {name} ({len(rows)} rows)" in stdout
+
+
 def test_fixed_point_output(scenario_file, tmp_path, capsys):
     out = str(tmp_path / "fp.csv")
     assert main(["fixed-point", "--scenario", scenario_file, "--out", out]) == 0
@@ -167,6 +226,18 @@ def test_concavity_corruption_hook(short_scenario_file, tmp_path, capsys):
     rows = _read_csv(out)
     assert any(float(r["epsilon"]) < 0.0 for r in rows)
     assert "all nonnegative: false" in stdout
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_concavity_rejects_a_non_finite_corruption(short_scenario_file, tmp_path, capsys, delta):
+    out = str(tmp_path / "eps.csv")
+    argv = ["concavity", "--scenario", short_scenario_file, "--out", out,
+            "--corrupt-t", "6", "--corrupt-state", "2,2", "--corrupt-delta", delta]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: --corrupt-delta must be finite, got {float(delta)!r}" in err
+    assert "Traceback" not in err
 
 
 def test_lambda_bound_command(scenario_file, tmp_path, capsys):

@@ -171,10 +171,10 @@ def solve_horizon(
     optimal prices chosen at every (t, state). Deterministic: identical inputs
     give bit-identical tables. Dense storage needs
     ``8 * (horizon + 1) * n_states`` bytes for the values,
-    ``8 * horizon * n_states * n_slots`` for the prices, ``horizon * n_states``
-    for the ``interior`` flags and ``8 * horizon * n_states`` for the policy's
-    copy of the stage values, so scenarios beyond ``max_states`` states are
-    refused rather than thrashing.
+    ``8 * horizon * n_states * n_slots`` for the prices and
+    ``horizon * n_states`` for the ``interior`` flags; the policy's stage
+    values are a read-only view of the value table's first ``horizon`` rows.
+    Scenarios beyond ``max_states`` states are refused rather than thrashing.
     """
     lat = scenario.lattice
     if lat.n_states > max_states:
@@ -199,8 +199,7 @@ def solve_horizon(
     fingerprint = scenario.fingerprint()
     values.flags.writeable = False
     vf = ValueFunction(values=values, fingerprint=fingerprint)
-    policy_values = values[:t_bar].copy()
-    policy = PricePolicy._frozen(prices, policy_values, interior, fingerprint)
+    policy = PricePolicy._frozen(prices, values[:t_bar], interior, fingerprint)
     return vf, policy
 
 

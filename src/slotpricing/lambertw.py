@@ -2,39 +2,42 @@
 
 This is the numeric kernel behind the closed-form price formulas: the value
 ``w = lambert_w0(y)`` satisfies ``w * exp(w) == y`` to within
-``1e-12 * max(1, y)``.
+``1e-12 * max(1, y)``. It works in log space, on the Wright omega form
+``w + log(w) = log(y)`` (Corless and Jeffrey, "The Wright omega function",
+2002), so no intermediate overflows anywhere up to ``sys.float_info.max``.
 """
 
 from __future__ import annotations
 
 import math
-
-_MAX_ITER = 50
+from math import log, log1p
 
 
 def lambert_w0(y: float) -> float:
     """The unique w >= 0 with ``w * exp(w) = y``, for finite y >= 0.
 
-    Halley's iteration from a logarithmic initial guess (``log1p(y)`` for
-    small arguments, ``log(y) - log(log(y))`` above e). Convergence is cubic;
-    iteration stops once the step drops below ``1e-15 * (1 + |w|)``.
+    Halley's iteration on ``f(w) = w + log(w) - log(y)``, started at
+    ``log1p(y)`` when ``log(y) <= 1`` and at ``x - log(x)`` with
+    ``x = log(y)`` above. Three steps bring every start to within 1e-14
+    relative of the root, so they are written out with no stopping test.
+    The step ``f * w / ((1 + w) + f / (2 * (1 + w)))`` has no ``exp``.
     """
-    if isinstance(y, bool) or not isinstance(y, (int, float)):
-        raise ValueError("lambert_w0 expects a real number")
-    y = float(y)
-    if not math.isfinite(y) or y < 0.0:
+    if type(y) is not float:
+        if isinstance(y, bool) or not isinstance(y, (int, float)):
+            raise ValueError("lambert_w0 expects a real number")
+        y = float(y)
+    if not 0.0 < y < math.inf:
+        if y == 0.0:
+            return 0.0
         raise ValueError(f"lambert_w0 requires a finite argument >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    w = math.log1p(y) if y <= math.e else math.log(y) - math.log(math.log(y))
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        err = w * ew - y
-        wp1 = w + 1.0
-        step = err / (ew * wp1 - (w + 2.0) * err / (2.0 * wp1))
-        w -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(w)):
-            break
+    x = log(y)
+    w = log1p(y) if x <= 1.0 else x - log(x)
+    f = w + log(w) - x
+    w -= f * w / (1.0 + w + f / (2.0 + 2.0 * w))
+    f = w + log(w) - x
+    w -= f * w / (1.0 + w + f / (2.0 + 2.0 * w))
+    f = w + log(w) - x
+    w -= f * w / (1.0 + w + f / (2.0 + 2.0 * w))
     return w
 
 

@@ -194,7 +194,7 @@ _OVERFLOW = (
 
 def _lambert_layer(y: np.ndarray) -> np.ndarray:
     """``lambert_w0`` of every entry; a non-finite entry means a utility overflowed."""
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError(_OVERFLOW)
     return np.array([lambert_w0(x) for x in y.tolist()])
 
@@ -211,56 +211,57 @@ def _layer_solve(
     is evaluated once per row with an open slot and once more per clamped row.
     """
     lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
-    lo, hi = scenario.price_min, scenario.price_max
+    lo, hi, n = scenario.price_min, scenario.price_max, scenario.n_slots
     c = scenario.beta_const + np.asarray(scenario.slot_betas, dtype=float)
     nbr = scenario.lattice.neighbours[rows]
     offered = nbr >= 0
     values = v_next[rows]
     a = np.where(offered, r - (values[:, np.newaxis] - v_next[nbr]), 0.0)  # net_revenue - z
 
-    def surplus(a, d, offered):
-        u = np.where(offered, np.exp(c + bd * d), 0.0)
-        return lam * (u * (a + d)).sum(axis=-1) / (1.0 + u.sum(axis=-1))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        live = np.flatnonzero(offered.any(axis=1))
+        live = offered.any(axis=1).nonzero()[0]
         a_live, o_live = a[live], offered[live]
         w = _lambert_layer(np.where(o_live, np.exp(c - bd * a_live - 1.0), 0.0).sum(axis=1))
         prices = (-(1.0 + w) / bd)[:, np.newaxis] - a_live
-        inside = np.all(~o_live | ((lo <= prices) & (prices <= hi)), axis=1)
+        inside = (~o_live | ((lo <= prices) & (prices <= hi))).all(axis=1)
         gain = -lam / bd * w
-
-        # Off the box the optimum is still d_j = clamp(m - a_j) for one markup
-        # m: the unique root of g(m) = surplus/lam - 1/bd - m, positive to its
-        # left and negative to its right. Walking the breakpoints lo + a_j
-        # (slot j leaves lo) and hi + a_j (slot j reaches hi) in order while
-        # g >= 0 finds the interval holding the root, which fixes the clamped
-        # slots. The stable sort keeps every lo entry ahead of a tied hi entry.
         out = ~inside
-        ac, oc = a_live[out], o_live[out]
-        breaks = np.where(np.hstack([oc, oc]), np.hstack([lo + ac, hi + ac]), np.inf)
-        order = np.argsort(breaks, axis=1, kind="stable")
-        m = np.take_along_axis(breaks, order, axis=1)
-        d = np.clip(m[:, :, np.newaxis] - ac[:, np.newaxis], lo, hi)
-        g = surplus(ac[:, np.newaxis], d, oc[:, np.newaxis]) / lam - 1.0 / bd - m
-        passed = np.empty_like(order, dtype=bool)
-        np.put_along_axis(passed, order, np.logical_and.accumulate(g >= 0.0, axis=1), axis=1)
-        n = scenario.n_slots
-        at_hi = passed[:, n:]
-        free = oc & passed[:, :n] & ~at_hi
-        fixed = np.where(at_hi, hi, lo)
-        # For this clamped set, with K = 1 + sum u_k and A = sum u_k (a_k + d_k)
-        # over the clamped slots and y the free slots' weights at markup A/K,
-        # the root is m = A/K - (1 + W(y/K)) / bd.
-        u = np.where(oc & ~free, np.exp(c + bd * fixed), 0.0)
-        k_sum = 1.0 + u.sum(axis=1)
-        shift = (u * (ac + fixed)).sum(axis=1) / k_sum
-        y = np.where(free, np.exp(c + bd * (shift[:, np.newaxis] - ac) - 1.0), 0.0).sum(axis=1)
-        markup = shift - (1.0 + _lambert_layer(y / k_sum)) / bd
-        prices[out] = np.clip(markup[:, np.newaxis] - ac, lo, hi)
-        gain[out] = surplus(ac, prices[out], oc)
+        if out.any():
+            # Off the box the optimum is still d_j = clamp(m - a_j) for one
+            # markup m, the unique root of g(m) = surplus/lam - 1/bd - m; g is
+            # positive left of it and negative right of it. So the root's
+            # interval starts at left = max{b : g(b) >= 0} over the unsorted
+            # breakpoints lo + a_j (slot j leaves lo) and hi + a_j (slot j
+            # reaches hi), +inf on full slots. Slot j sits at hi iff
+            # hi + a_j <= left, and is free iff lo + a_j <= left and it is not
+            # at hi.
+            ac, oc = a_live[out], o_live[out]
+            ends = np.where(oc, ac, np.inf)
+            breaks = np.concatenate([lo + ends, hi + ends], axis=1)
+            d = np.minimum(np.maximum(breaks[:, :, np.newaxis] - ac[:, np.newaxis], lo), hi)
+            u = np.where(oc[:, np.newaxis], np.exp(c + bd * d), 0.0)
+            s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u.sum(axis=2))  # surplus/lam
+            if not np.isfinite(s).all():
+                raise ValueError(_OVERFLOW)
+            left = breaks.max(axis=1, where=s - 1.0 / bd >= breaks, initial=-np.inf)
+            passed = breaks <= left[:, np.newaxis]  # never a full slot's +inf
+            at_hi = passed[:, n:]
+            free = passed[:, :n] ^ at_hi  # lo + a_j <= hi + a_j
+            fixed = np.where(at_hi, hi, lo)
+            # For this clamped set, with K = 1 + sum u_k and A = sum u_k (a_k +
+            # d_k) over the clamped slots and y the free slots' weights at
+            # markup A/K, the root is m = A/K - (1 + W(y/K)) / bd. g is zero
+            # there, so the gain is lam * (m + 1/bd) = lam * (A/K - W/bd).
+            u = np.where(oc & ~free, np.exp(c + bd * fixed), 0.0)
+            k_sum = 1.0 + u.sum(axis=1)
+            shift = (u * (ac + fixed)).sum(axis=1) / k_sum
+            y = np.where(free, np.exp(c + bd * (shift[:, np.newaxis] - ac) - 1.0), 0.0).sum(axis=1)
+            w_out = _lambert_layer(y / k_sum)
+            markup = shift - (1.0 + w_out) / bd
+            prices[out] = np.minimum(np.maximum(markup[:, np.newaxis] - ac, lo), hi)
+            gain[out] = lam * (shift - w_out / bd)
         values[live] += gain
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError(_OVERFLOW)
     layer_prices = np.full(nbr.shape, np.nan)
     layer_prices[live] = np.where(o_live, prices, np.nan)

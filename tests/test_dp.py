@@ -129,6 +129,10 @@ def test_solve_horizon_shapes_and_boundaries(table1, table1_solution):
     # the full-lattice corner is invariant across all time steps
     assert np.all(values.values[:, -1] == -14.0)
     assert values.fingerprint == table1.fingerprint()
+    # the policy's stage values are the table's first 200 rows, shared, read only
+    assert np.shares_memory(policy.values, values.values)
+    assert np.array_equal(policy.values, values.values[:200])
+    assert not policy.values.flags.writeable
 
 
 def test_solve_horizon_value_invariants(table1, table1_solution):

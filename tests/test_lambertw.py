@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ def test_midpoint_concavity():
         a, b = 10.0 ** rng.uniform(-8, 4, 2)
         mid = lambert_w0(0.5 * (a + b))
         assert mid >= 0.5 * (lambert_w0(a) + lambert_w0(b)) - 1e-12
+
+
+def test_top_of_float_range():
+    # w * exp(w) overflows here, so check the log form w + log(w) = log(y)
+    for y in (2.7e307, 1e308, sys.float_info.max):
+        w = lambert_w0(y)
+        assert abs(w + math.log(w) - math.log(y)) <= 2e-15 * math.log(y)
+    assert lambert_w0(sys.float_info.max) == pytest.approx(703.2270331047702, rel=1e-15)
+
+
+def test_argument_types():
+    for bad in (True, False, "1.0", None, 1j):
+        with pytest.raises(ValueError):
+            lambert_w0(bad)
+    assert lambert_w0(3) == lambert_w0(3.0)
+    assert lambert_w0(np.float64(2.0)) == lambert_w0(2.0)
+    assert lambert_w0(0) == 0.0
 
 
 def test_domain_errors():

@@ -294,6 +294,61 @@ def test_solve_stage_constrained_up_to_four_slots(monkeypatch):
     assert mixed >= 30
 
 
+def _assert_stage_matches_oracle_and_layer(scenario, state, v_next):
+    """solve_stage agrees with the bisection oracle and, bit for bit, with its
+    row of the whole-lattice layer; returns the stage solution."""
+    sol = sp.solve_stage(scenario, state, v_next)
+    prices, value = bisect_stage_markup(scenario, state, v_next)
+    assert sol.value == pytest.approx(value, abs=1e-10)
+    offered = [d for d in sol.prices if d is not None]
+    assert max(abs(a - b) for a, b in zip(offered, prices)) <= 1e-10
+    assert sol.value == sp.bellman_apply(scenario, v_next)[scenario.lattice.index(state)]
+    return sol
+
+
+def test_solve_stage_breakpoint_tie_between_lo_and_hi():
+    # box [0, 2] with net_revenue - z = (1, -1): slot 1 leaves the floor at
+    # markup 1, exactly where slot 2 reaches the cap
+    def stage(beta_const):
+        scenario = sp.Scenario(
+            arrival_rate=0.5,
+            horizon=1,
+            price_min=0.0,
+            price_max=2.0,
+            net_revenue=1.0,
+            beta_const=beta_const,
+            beta_price=-10.0,
+            slot_betas=(0.0, 0.0),
+            capacities=(1, 1),
+            cost=sp.AffineCost(intercept=0.0, coefficients=(0.0, 0.0)),
+        )
+        v_next = np.zeros(scenario.lattice.n_states)
+        v_next[scenario.lattice.index((0, 1))] = -2.0
+        return scenario, v_next
+
+    # at this beta_const the root sits on the tie: both margins are 1 there,
+    # and the weights sum to 9, so g(1) = 9/10 + 1/10 - 1 = 0 and the optimum
+    # is (0, 2), on both edges of the box
+    on_tie = math.log(9.0) - math.log1p(math.exp(-20.0))
+    sides = set()
+    for beta_const in [*np.linspace(-3.0, 6.0, 19).tolist(), on_tie]:
+        scenario, v_next = stage(beta_const)
+        sol = _assert_stage_matches_oracle_and_layer(scenario, (0, 0), v_next)
+        sides.add((sol.prices[0] == 0.0, sol.prices[1] == 2.0))
+    assert sides == {(True, False), (False, True), (True, True)}
+
+
+def test_solve_stage_all_slots_share_one_opportunity_cost(table1):
+    # values linear in the order count give every slot of a state the same
+    # breakpoints; slope 3 = price_max + net_revenue is the stationary
+    # hyperplane's, where the optimum sits exactly on the cap
+    for slope in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0):
+        v_next = _affine_values(table1, (slope, slope))
+        for state in table1.lattice.states():
+            if state != table1.capacities:
+                _assert_stage_matches_oracle_and_layer(table1, state, v_next)
+
+
 def test_solve_stage_deterministic(table1):
     v = sp.terminal_values(table1)
     a = sp.solve_stage(table1, (1, 2), v)

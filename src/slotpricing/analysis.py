@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from .lambertw import lambert_w0
-from .model import Scenario, State, cost_values
+from .model import Scenario, State, _logit_weights, cost_values
 from .dp import ValueFunction, solve_horizon
 
 DEFAULT_MAX_ENUM_STATES = 10_000
@@ -291,10 +291,6 @@ def arrival_rate_bound(scenario: Scenario) -> float:
     min_gap = float(increase[valid].min())
     if min_gap <= 0.0:
         return 0.0
-    weight_sum = sum(
-        math.exp(
-            scenario.beta_const + b - scenario.beta_price * scenario.net_revenue - 1.0
-        )
-        for b in scenario.slot_betas
-    )
-    return -scenario.beta_price * min_gap / (scenario.horizon * lambert_w0(weight_sum))
+    # every slot offered at zero opportunity cost, as in ``slot_weight``
+    _, total = _logit_weights(scenario, -scenario.net_revenue, True, -1.0)
+    return -scenario.beta_price * min_gap / (scenario.horizon * lambert_w0(float(total)))

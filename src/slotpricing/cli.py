@@ -371,14 +371,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError:
-        print(
-            "error: a logit utility exceeds the float range (exp argument above "
-            f"{math.log(sys.float_info.max):.2f}); check beta_const, the slot betas, "
-            "beta_price and the price box",
-            file=sys.stderr,
-        )
-        return 1
 
 
 if __name__ == "__main__":

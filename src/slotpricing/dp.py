@@ -191,16 +191,22 @@ def solve_horizon(
             f"states ({exc})"
         ) from exc
     values[t_bar] = terminal_values(scenario)
-    prices = np.full((t_bar, lat.n_states, scenario.n_slots), np.nan)
-    interior = np.zeros((t_bar, lat.n_states), dtype=bool)
-    rows = np.arange(lat.n_states)
-    for t in range(t_bar, 0, -1):
-        values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(scenario, values[t], rows)
-    fingerprint = scenario.fingerprint()
+    policy = _backward(scenario, values, values[:t_bar])
     values.flags.writeable = False
-    vf = ValueFunction(values=values, fingerprint=fingerprint)
-    policy = PricePolicy._frozen(prices, values[:t_bar], interior, fingerprint)
-    return vf, policy
+    return ValueFunction(values=values, fingerprint=policy.fingerprint), policy
+
+
+def _backward(scenario: Scenario, values: np.ndarray, stage_values: np.ndarray) -> PricePolicy:
+    """Solve layers t = horizon .. 1 against ``values[t]`` into ``stage_values[t - 1]``."""
+    t_bar, n = scenario.horizon, scenario.lattice.n_states
+    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
+    interior = np.zeros((t_bar, n), dtype=bool)
+    rows = np.arange(n)
+    for t in range(t_bar, 0, -1):
+        stage_values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(
+            scenario, values[t], rows
+        )
+    return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 
 
 def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy:
@@ -214,16 +220,8 @@ def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy
         raise ValueError("value function was computed for a different scenario")
     if values.horizon != scenario.horizon:
         raise ValueError("value function horizon does not match the scenario")
-    t_bar, n = scenario.horizon, scenario.lattice.n_states
-    stage_values = np.empty((t_bar, n))
-    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
-    interior = np.zeros((t_bar, n), dtype=bool)
-    rows = np.arange(n)
-    for t in range(t_bar, 0, -1):
-        stage_values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(
-            scenario, values.values[t], rows
-        )
-    return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
+    stage_values = np.empty((scenario.horizon, scenario.lattice.n_states))
+    return _backward(scenario, values.values, stage_values)
 
 
 def opportunity_costs(

@@ -4,7 +4,8 @@ choice model.
 Slots are numbered from 1 to the slot count; slot 0 denotes the no-purchase
 alternative and never appears in slot collections. A booking state is a tuple
 of per-slot order counts, and the lattice X is the box product of
-``range(capacity + 1)`` over the slots.
+``range(capacity + 1)`` over the slots. Every logit weight of the package
+comes from the private kernel ``_logit_weights``, with its one overflow error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -30,10 +32,10 @@ class ScenarioError(ValueError):
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{field} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
+    # false for NaN and inf; an int compares exactly, before float() could overflow
+    if not -sys.float_info.max <= value <= sys.float_info.max:
         raise ScenarioError(f"{field} must be finite")
-    return value
+    return float(value)
 
 
 def _require_count(value, field: str) -> int:
@@ -207,6 +209,11 @@ class Scenario:
     @cached_property
     def lattice(self) -> StateLattice:
         return StateLattice(self.capacities)
+
+    @cached_property
+    def _slot_utility(self) -> np.ndarray:
+        """``beta_const + slot_betas``, each slot's logit utility at price 0."""
+        return self.beta_const + np.asarray(self.slot_betas, dtype=float)
 
     def to_json(self) -> str:
         """Canonical single-line JSON rendering (also the fingerprint input)."""
@@ -412,21 +419,48 @@ class ArrivalProbabilities:
     no_purchase: float
 
 
-def _checked_weights(scenario: Scenario, prices: PriceVector) -> list[float]:
+_OVERFLOW = (
+    "a logit utility exceeds the float range; check beta_const, the slot betas, "
+    "beta_price and the price box"
+)
+
+
+def _logit_weights(
+    scenario: Scenario, prices, offered, log_offset: float = 0.0, *, errstate_held: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Logit weights ``exp(beta_const + slot_betas + beta_price * prices +
+    log_offset)`` where ``offered``, else 0.0, and their sums over the slots.
+
+    ``prices`` and ``offered`` broadcast against the slots, the last axis.
+    Raises ``ValueError`` unless every sum, and so every weight, is finite.
+    Runs under ``np.errstate(over="ignore", invalid="ignore")``; a caller
+    already inside one (the layer solver) passes ``errstate_held``.
+    """
+    if not errstate_held:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _logit_weights(scenario, prices, offered, log_offset, errstate_held=True)
+    utility = scenario._slot_utility + scenario.beta_price * prices
+    if log_offset:
+        utility = utility + log_offset
+    weights = np.where(offered, np.exp(utility), 0.0)
+    total = weights.sum(axis=-1)
+    if not math.isfinite(total.max(initial=0.0)):  # max carries a NaN through
+        raise ValueError(_OVERFLOW)
+    return weights, total
+
+
+def _offered_prices(scenario: Scenario, prices: PriceVector) -> tuple[np.ndarray, np.ndarray]:
+    """A price vector as floats (0.0 where closed) and its open mask; every
+    open price must lie in the box, which NaN does not."""
     if len(prices) != scenario.n_slots:
         raise ValueError(f"expected {scenario.n_slots} prices, got {len(prices)}")
-    weights = []
     for s, d in enumerate(prices, start=1):
-        if d is None:
-            weights.append(0.0)
-            continue
-        d = float(d)
-        if not scenario.price_min <= d <= scenario.price_max:
+        if d is not None and not scenario.price_min <= float(d) <= scenario.price_max:
             raise ValueError(
-                f"slot {s} price {d} outside [{scenario.price_min}, {scenario.price_max}]"
+                f"slot {s} price {float(d)} outside [{scenario.price_min}, {scenario.price_max}]"
             )
-        weights.append(math.exp(scenario.beta_const + scenario.slot_betas[s - 1] + scenario.beta_price * d))
-    return weights
+    offered = np.array([d is not None for d in prices])
+    return np.array([0.0 if d is None else float(d) for d in prices]), offered
 
 
 def choice_probabilities(scenario: Scenario, prices: PriceVector) -> ChoiceProbabilities:
@@ -436,11 +470,11 @@ def choice_probabilities(scenario: Scenario, prices: PriceVector) -> ChoiceProba
     denominator, which is the infinite-price limit of the logit model and
     avoids any overflow-prone sentinel price.
     """
-    weights = _checked_weights(scenario, prices)
-    denom = sum(weights) + 1.0
+    weights, total = _logit_weights(scenario, *_offered_prices(scenario, prices))
+    denom = 1.0 + total
     return ChoiceProbabilities(
-        per_slot=tuple(w / denom if w > 0.0 else 0.0 for w in weights),
-        no_purchase=1.0 / denom,
+        per_slot=tuple((weights / denom).tolist()),
+        no_purchase=float(1.0 / denom),
     )
 
 

@@ -15,7 +15,9 @@ known, and those follow from where it falls among the slots' breakpoints.
 One solver prices a whole layer of states at once, in numpy arrays over the
 states and slots; the backward induction hands it every state of a layer, and
 ``solve_stage`` a single state. Lambert W stays the scalar ``lambert_w0``,
-called once per row for the closed form and once more per clamped row.
+called once per row for the closed form and once more per clamped row. Every
+logit weight, in the solver and in the scalar formulas, comes from the model's
+logit kernel; the Lambert W arguments pass their ``-1`` as its log offset.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lambertw import lambert_w0
-from .model import ChoiceProbabilities, PriceVector, Scenario
+from .model import _OVERFLOW, ChoiceProbabilities, PriceVector, Scenario
+from .model import _logit_weights, _offered_prices
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,18 @@ class StageSolution:
         return tuple(s for s, d in enumerate(self.prices, start=1) if d is not None)
 
 
+def _slot_weights(scenario: Scenario, slots, prices, log_offset: float = 0.0):
+    """The weights of the distinct ``slots`` at ``prices``, in order, and their sum."""
+    for slot in slots:
+        if not 1 <= slot <= scenario.n_slots:
+            raise ValueError(f"slot {slot} out of range 1..{scenario.n_slots}")
+    ix = np.asarray(slots, dtype=int) - 1
+    row, offered = np.zeros(scenario.n_slots), np.zeros(scenario.n_slots, dtype=bool)
+    row[ix], offered[ix] = prices, True
+    weights, total = _logit_weights(scenario, row, offered, log_offset)
+    return weights[ix], float(total)
+
+
 def slot_weight(scenario: Scenario, slot: int, z: float) -> float:
     """The slot's discounted utility weight at opportunity cost ``z``.
 
@@ -75,18 +90,7 @@ def slot_weight(scenario: Scenario, slot: int, z: float) -> float:
     - 1)``; strictly positive and strictly decreasing in ``z``. Sums of these
     weights are the Lambert W arguments in the closed-form price formulas.
     """
-    if not 1 <= slot <= scenario.n_slots:
-        raise ValueError(f"slot {slot} out of range 1..{scenario.n_slots}")
-    return math.exp(
-        scenario.beta_const
-        + scenario.slot_betas[slot - 1]
-        + scenario.beta_price * (z - scenario.net_revenue)
-        - 1.0
-    )
-
-
-def _weight_sum(scenario: Scenario, opp_costs: OpportunityCosts) -> float:
-    return sum(slot_weight(scenario, s, z) for s, z in zip(opp_costs.slots, opp_costs.values))
+    return _slot_weights(scenario, [slot], [z - scenario.net_revenue], -1.0)[1]
 
 
 def unconstrained_stage_gain(scenario: Scenario, opp_costs: OpportunityCosts) -> float:
@@ -96,9 +100,9 @@ def unconstrained_stage_gain(scenario: Scenario, opp_costs: OpportunityCosts) ->
     slots present in ``opp_costs``; strictly positive and strictly decreasing
     in every opportunity cost. Slots not offered contribute nothing.
     """
-    return -scenario.arrival_rate / scenario.beta_price * lambert_w0(
-        _weight_sum(scenario, opp_costs)
-    )
+    z = np.subtract(opp_costs.values, scenario.net_revenue)
+    _, total = _slot_weights(scenario, opp_costs.slots, z, -1.0)
+    return -scenario.arrival_rate / scenario.beta_price * lambert_w0(total)
 
 
 def markup_root(scenario: Scenario, opp_costs: OpportunityCosts) -> float:
@@ -109,7 +113,8 @@ def markup_root(scenario: Scenario, opp_costs: OpportunityCosts) -> float:
     ``net_revenue`` minus ``h / beta_price``; h itself is
     ``1 + W(sum of slot weights)``.
     """
-    return 1.0 + lambert_w0(_weight_sum(scenario, opp_costs))
+    z = np.subtract(opp_costs.values, scenario.net_revenue)
+    return 1.0 + lambert_w0(_slot_weights(scenario, opp_costs.slots, z, -1.0)[1])
 
 
 def unconstrained_prices(scenario: Scenario, opp_costs: OpportunityCosts) -> tuple[float, ...]:
@@ -135,15 +140,10 @@ def stage_surplus(
     """
     if len(prices) != len(opp_costs.slots):
         raise ValueError("one price per offered slot required")
-    num = 0.0
-    den = 1.0
-    for slot, z, d in zip(opp_costs.slots, opp_costs.values, prices):
-        w = math.exp(
-            scenario.beta_const + scenario.slot_betas[slot - 1] + scenario.beta_price * d
-        )
-        num += w * (scenario.net_revenue + d - z)
-        den += w
-    return scenario.arrival_rate * num / den
+    d = np.asarray(prices, dtype=float)
+    w, total = _slot_weights(scenario, opp_costs.slots, d)
+    num = (w * (scenario.net_revenue + d - np.asarray(opp_costs.values))).sum()
+    return float(scenario.arrival_rate * num / (1.0 + total))
 
 
 def stage_objective(
@@ -161,42 +161,16 @@ def stage_objective(
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]
     v_next = np.asarray(v_next, dtype=float)
-    if len(prices) != scenario.n_slots:
-        raise ValueError(f"expected {scenario.n_slots} prices, got {len(prices)}")
-    open_slots = []
-    open_prices = []
-    for s, d in enumerate(prices, start=1):
-        if d is None:
-            continue
-        if nbr[s - 1] < 0:
-            raise ValueError(f"slot {s} is at capacity and cannot be offered")
-        d = float(d)
-        if not scenario.price_min <= d <= scenario.price_max:
-            raise ValueError(
-                f"slot {s} price {d} outside [{scenario.price_min}, {scenario.price_max}]"
-            )
-        open_slots.append(s)
-        open_prices.append(d)
-    if not open_slots:
-        return float(v_next[ix])
-    oc = OpportunityCosts(
-        slots=tuple(open_slots),
-        values=tuple(float(v_next[ix] - v_next[nbr[s - 1]]) for s in open_slots),
-    )
-    return float(v_next[ix]) + stage_surplus(scenario, oc, open_prices)
-
-
-_OVERFLOW = (
-    "a logit utility exceeds the float range; check beta_const, the slot betas, "
-    "beta_price and the price box"
-)
-
-
-def _lambert_layer(y: np.ndarray) -> np.ndarray:
-    """``lambert_w0`` of every entry; a non-finite entry means a utility overflowed."""
-    if not np.isfinite(y).all():
-        raise ValueError(_OVERFLOW)
-    return np.array([lambert_w0(x) for x in y.tolist()])
+    d, offered = _offered_prices(scenario, prices)
+    full = offered & (nbr < 0)
+    if full.any():
+        raise ValueError(f"slot {full.argmax() + 1} is at capacity and cannot be offered")
+    z = np.where(offered, v_next[ix] - v_next[nbr], 0.0)  # closed slots weigh 0
+    if not np.isfinite(z).all():
+        raise ValueError("opportunity costs must be finite")
+    w, total = _logit_weights(scenario, d, offered)
+    num = (w * (scenario.net_revenue + d - z)).sum()
+    return float(v_next[ix]) + float(scenario.arrival_rate * num / (1.0 + total))
 
 
 def _layer_solve(
@@ -212,7 +186,6 @@ def _layer_solve(
     """
     lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
     lo, hi, n = scenario.price_min, scenario.price_max, scenario.n_slots
-    c = scenario.beta_const + np.asarray(scenario.slot_betas, dtype=float)
     nbr = scenario.lattice.neighbours[rows]
     offered = nbr >= 0
     values = v_next[rows]
@@ -221,7 +194,8 @@ def _layer_solve(
     with np.errstate(over="ignore", invalid="ignore"):
         live = offered.any(axis=1).nonzero()[0]
         a_live, o_live = a[live], offered[live]
-        w = _lambert_layer(np.where(o_live, np.exp(c - bd * a_live - 1.0), 0.0).sum(axis=1))
+        y = _logit_weights(scenario, -a_live, o_live, -1.0, errstate_held=True)[1]
+        w = np.array([lambert_w0(x) for x in y.tolist()])
         prices = (-(1.0 + w) / bd)[:, np.newaxis] - a_live
         inside = (~o_live | ((lo <= prices) & (prices <= hi))).all(axis=1)
         gain = -lam / bd * w
@@ -239,8 +213,8 @@ def _layer_solve(
             ends = np.where(oc, ac, np.inf)
             breaks = np.concatenate([lo + ends, hi + ends], axis=1)
             d = np.minimum(np.maximum(breaks[:, :, np.newaxis] - ac[:, np.newaxis], lo), hi)
-            u = np.where(oc[:, np.newaxis], np.exp(c + bd * d), 0.0)
-            s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u.sum(axis=2))  # surplus/lam
+            u, u_sum = _logit_weights(scenario, d, oc[:, np.newaxis], errstate_held=True)
+            s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u_sum)  # surplus/lam
             if not np.isfinite(s).all():
                 raise ValueError(_OVERFLOW)
             left = breaks.max(axis=1, where=s - 1.0 / bd >= breaks, initial=-np.inf)
@@ -252,11 +226,12 @@ def _layer_solve(
             # d_k) over the clamped slots and y the free slots' weights at
             # markup A/K, the root is m = A/K - (1 + W(y/K)) / bd. g is zero
             # there, so the gain is lam * (m + 1/bd) = lam * (A/K - W/bd).
-            u = np.where(oc & ~free, np.exp(c + bd * fixed), 0.0)
-            k_sum = 1.0 + u.sum(axis=1)
+            u, u_sum = _logit_weights(scenario, fixed, oc & ~free, errstate_held=True)
+            k_sum = 1.0 + u_sum
             shift = (u * (ac + fixed)).sum(axis=1) / k_sum
-            y = np.where(free, np.exp(c + bd * (shift[:, np.newaxis] - ac) - 1.0), 0.0).sum(axis=1)
-            w_out = _lambert_layer(y / k_sum)
+            d_shift = shift[:, np.newaxis] - ac
+            y = _logit_weights(scenario, d_shift, free, -1.0, errstate_held=True)[1]
+            w_out = np.array([lambert_w0(x) for x in (y / k_sum).tolist()])
             markup = shift - (1.0 + w_out) / bd
             prices[out] = np.minimum(np.maximum(markup[:, np.newaxis] - ac, lo), hi)
             gain[out] = lam * (shift - w_out / bd)

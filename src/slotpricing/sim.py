@@ -4,7 +4,9 @@ Each replication starts at the empty lattice state, draws one uniform per
 booking step to decide whether a customer arrives and which open slot (if
 any) they choose at the policy's prices, collects net revenue plus delivery
 charge per sale, and finally subtracts the delivery cost of the end state.
-The sample mean cross-validates the solved value at the initial state.
+The sample mean cross-validates the solved value at the initial state. The
+sale probabilities come from the model's logit kernel, so an overflowing
+utility raises the same error here as in the solver.
 
 Replications run in blocks, each with its own Philox generator at the
 counter offset of its first draw; two threads walk the blocks, and the
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .dp import PricePolicy
-from .model import Scenario, cost_values
+from .model import Scenario, _logit_weights, cost_values
 
 GENERATOR = "numpy.random.Philox"
 # Replications per uniform-matrix block; each block's generator starts at
@@ -72,17 +74,8 @@ def _policy_tables(
     open_mask = ~np.isnan(prices)
     if np.any(open_mask & (scenario.lattice.neighbours < 0)):
         raise ValueError("policy offers a slot that is at capacity")
-    betas = np.asarray(scenario.slot_betas, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        price_term = scenario.beta_price * np.where(open_mask, prices, 0.0)
-        weights = np.where(open_mask, np.exp(scenario.beta_const + betas + price_term), 0.0)
-        denom = weights.sum(axis=2, keepdims=True) + 1.0
-        cum = np.cumsum(arrival_rate * weights / denom, axis=2)
-    if not np.all(np.isfinite(cum[:, :, -1])):
-        raise ValueError(
-            "a sale probability is not finite (a logit utility exceeds the float range); "
-            "check beta_const, the slot betas, beta_price and the price box"
-        )
+    weights, total = _logit_weights(scenario, prices, open_mask)
+    cum = np.cumsum(arrival_rate * weights / (total[..., np.newaxis] + 1.0), axis=2)
     revenue = np.where(open_mask, scenario.net_revenue + np.where(open_mask, prices, 0.0), 0.0)
     return cum, revenue
 
@@ -111,8 +104,8 @@ def simulate(
     overrides the scenario's rate (0.0 is allowed here, unlike in the
     solver). Profits are summed in replication order, and the mean uses
     index-ordered pairwise summation. ``ValueError`` is raised when ``seed``
-    lies outside ``[0, 2**128)``, before any thread starts, and when a sale
-    probability is not finite because a logit utility overflows.
+    lies outside ``[0, 2**128)``, before any thread starts, and when a logit
+    weight or a state's sum of weights overflows the float range.
     """
     if reps < 1:
         raise ValueError("at least one replication is required")

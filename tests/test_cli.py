@@ -343,6 +343,35 @@ def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args, bet
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_lambda_bound_exits_one(tmp_path, capsys):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc["beta_const"] = 720.0
+    # a table cost (x1 + x2)**2 leads the bound past its early 0.0 to the slot weights
+    doc["cost"] = {
+        "type": "table",
+        "values": [float((x1 + x2) ** 2) for x2 in range(5) for x1 in range(5)],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["lambda-bound", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "beta_const" in err
+    assert "Traceback" not in err
+
+
+def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc["beta_const"] = 10**400  # json.loads keeps it an int, too large for float()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "beta_const must be finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [["solve"], ["simulate"]])
 def test_horizon_beyond_memory_exits_one(tmp_path, monkeypatch, capsys, args):
     doc = json.loads(EXAMPLE_SCENARIO)

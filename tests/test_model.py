@@ -152,6 +152,8 @@ def test_choice_probabilities_price_box(table1):
         sp.choice_probabilities(table1, (2.5, 1.0))
     with pytest.raises(ValueError, match="expected 2 prices"):
         sp.choice_probabilities(table1, (1.0,))
+    with pytest.raises(ValueError, match="slot 2 price nan"):
+        sp.choice_probabilities(table1, (1.0, math.nan))
 
 
 def test_arrival_probabilities(table1):

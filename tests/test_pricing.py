@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,41 @@ def test_stage_objective_contract_errors(table1):
         sp.stage_objective(table1, (4, 0), (1.0, 1.0), v)
     with pytest.raises(ValueError, match="outside"):
         sp.stage_objective(table1, (0, 0), (3.0, 1.0), v)
+    with pytest.raises(ValueError, match="slot 1 price nan"):
+        sp.stage_objective(table1, (0, 0), (math.nan, None), v)
+
+
+_ZERO_COSTS = OpportunityCosts((1, 2), (0.0, 0.0))
+# Each entry point at offered price d. Zero opportunity costs put the Lambert W
+# arguments at the weights of price 0 (beta_price -1, net revenue 1).
+_LOGIT_ENTRY_POINTS = {
+    "slot_weight": lambda s, d: sp.slot_weight(s, 1, 0.0),
+    "stage_surplus": lambda s, d: sp.stage_surplus(s, _ZERO_COSTS, (d, d)),
+    "stage_objective": lambda s, d: sp.stage_objective(s, (0, 0), (d, d), sp.terminal_values(s)),
+    "choice_probabilities": lambda s, d: sp.choice_probabilities(s, (d, d)),
+    "arrival_probabilities": lambda s, d: sp.arrival_probabilities(s, (d, d)),
+    "unconstrained_stage_gain": lambda s, d: sp.unconstrained_stage_gain(s, _ZERO_COSTS),
+    "markup_root": lambda s, d: sp.markup_root(s, _ZERO_COSTS),
+    "unconstrained_prices": lambda s, d: sp.unconstrained_prices(s, _ZERO_COSTS),
+    # a table cost (x1 + x2)**2 has positive terminal gaps, so the bound
+    # reaches the slot weights (an affine cost returns 0.0 before them)
+    "arrival_rate_bound": lambda s, d: sp.arrival_rate_bound(
+        dataclasses.replace(
+            s, cost=sp.TableCost(tuple(float(sum(x)) ** 2 for x in s.lattice.states()))
+        )
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", _LOGIT_ENTRY_POINTS.values(), ids=_LOGIT_ENTRY_POINTS.keys())
+def test_overflowing_utility_names_beta_const(table1, call):
+    with pytest.raises(ValueError, match="beta_const"):
+        call(dataclasses.replace(table1, beta_const=720.0), 1.0)
+    if call is not _LOGIT_ENTRY_POINTS["slot_weight"]:  # one weight alone stays finite here
+        # at 708.7 and price 0 the weights e**709.7 and e**707.7 are finite, their sum is not
+        with pytest.raises(ValueError, match="beta_const"):
+            call(dataclasses.replace(table1, beta_const=708.7), 0.0)
 
 
 def test_stage_objective_terminal_neighbor_indexing(table1):

@@ -166,15 +166,16 @@ def test_policy_prices_near_terminal_match_grid(table1, table1_solution):
     assert sol.prices[1] == pytest.approx(2.0, abs=1e-3)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_logit_is_rejected(table1):
-    big = dataclasses.replace(table1, beta_const=720.0)
-    policy = sp.PricePolicy.constant_price(big, 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="beta_const"):
-            sp.simulate(big, policy, 1000, seed=1)
+    # At 720 a slot weight overflows; at 708.7 and price 0 both weights are
+    # finite but their sum is not.
+    for beta_const, price in [(720.0, 2.0), (708.7, 0.0)]:
+        big = dataclasses.replace(table1, beta_const=beta_const)
+        policy = sp.PricePolicy.constant_price(big, price)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta_const"):
+                sp.simulate(big, policy, 1000, seed=1)
 
 
 def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):

@@ -25,7 +25,6 @@ from .lambertw import lambert_w0
 from .model import Scenario, State, _logit_weights, cost_values
 from .dp import ValueFunction, solve_horizon
 
-DEFAULT_MAX_ENUM_STATES = 10_000
 # Largest comb(n_states, n_slots + 1) * n_states, the (simplex, state) pairs
 # the enumeration tests in one batch. Below it Hadamard's bound keeps every
 # determinant and Cramer numerator under 2e5, exact in int64 and float64.
@@ -120,9 +119,7 @@ class EnclosingSets(Mapping):
         return tuple(states[self.targets[row]].tolist()), combo
 
 
-def enumerate_enclosings(
-    scenario: Scenario, *, max_states: int = DEFAULT_MAX_ENUM_STATES
-) -> EnclosingSets:
+def enumerate_enclosings(scenario: Scenario) -> EnclosingSets:
     """Every enclosing combination of every lattice state.
 
     One pass over the lattice's ``n_slots + 1``-point simplices. Each gets the
@@ -133,15 +130,12 @@ def enumerate_enclosings(
     supports are left out: a zero-weight vertex extends each to a simplex
     with the same interpolation, so no state's worst margin changes. The
     geometry depends only on the capacities, so one enumeration serves every
-    layer. Lattices above ``max_states`` states or ``MAX_ENUM_CANDIDATES``
-    (simplex, state) pairs are refused up front.
+    layer. Lattices above ``MAX_ENUM_CANDIDATES`` (8,000,000) (simplex,
+    state) pairs are refused up front; every lattice above 252 states is
+    among them.
     """
     lat = scenario.lattice
     n_states, dim = lat.n_states, scenario.n_slots + 1
-    if n_states > max_states:
-        raise ValueError(
-            f"lattice has {n_states} states, above the enumeration limit of {max_states}"
-        )
     candidates = math.comb(n_states, dim) * n_states
     if candidates > MAX_ENUM_CANDIDATES:
         raise ValueError(

@@ -2,8 +2,11 @@
 
 Commands: example | solve | fixed-point | concavity | lambda-bound | prices |
 simulate. Primary results go to stdout or the requested CSV files and are
-byte-identical across runs with the same inputs; a JSON run manifest (command,
-scenario hash, tool version, elapsed time, output paths) goes to stderr.
+byte-identical across runs with the same inputs. ``main`` reads the scenario,
+runs the command and, on exit 0 only, prints a one-line JSON run manifest to
+stderr with the fields ``command``, ``scenario``, ``scenario_sha256``,
+``tool_version``, ``elapsed_seconds`` and ``outputs``. Each command takes the
+parsed arguments and scenario and returns the paths it wrote.
 Exit codes: 0 success, 1 validation or solver error, 2 I/O error.
 """
 
@@ -24,8 +27,8 @@ import numpy as np
 from . import __version__
 from .analysis import arrival_rate_bound, concavity_report, enumerate_enclosings
 from .dp import ValueFunction, bellman_residual, fixed_point, opportunity_costs, solve_horizon
-from .model import Scenario, ScenarioError, load_scenario, marginal_profit_violations
-from .pricing import solve_stage, unconstrained_stage_gain
+from .model import Scenario, load_scenario, marginal_profit_violations
+from .pricing import unconstrained_stage_gain
 from .sim import simulate
 
 EXAMPLE_SCENARIO = """\
@@ -53,34 +56,6 @@ _PROFIT_ROWS = 65_536
 def _fmt(value: float) -> str:
     """Shortest decimal that round-trips to the same float."""
     return repr(float(value))
-
-
-def _read_scenario(path: str) -> tuple[bytes, Scenario]:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    raw = p.read_bytes()
-    return raw, load_scenario(raw.decode("utf-8"))
-
-
-def _emit_manifest(
-    command: str,
-    t0: float,
-    scenario_path: Optional[str] = None,
-    scenario_bytes: Optional[bytes] = None,
-    outputs: Sequence[str] = (),
-) -> None:
-    manifest = {
-        "command": command,
-        "scenario": scenario_path,
-        "scenario_sha256": hashlib.sha256(scenario_bytes).hexdigest()
-        if scenario_bytes is not None
-        else None,
-        "tool_version": __version__,
-        "elapsed_seconds": round(time.perf_counter() - t0, 6),
-        "outputs": list(outputs),
-    }
-    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
 def _state_header(n_slots: int) -> str:
@@ -138,36 +113,25 @@ def _parse_state(text: str) -> tuple[int, ...]:
         raise ValueError(f"state must be comma-separated integers, got {text!r}") from exc
 
 
-def _cmd_example(args) -> int:
-    t0 = time.perf_counter()
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(EXAMPLE_SCENARIO)
-        print(f"wrote {args.out}")
-        outputs.append(args.out)
-    else:
+def _cmd_example(args, scenario: None) -> list[str]:
+    if not args.out:
         sys.stdout.write(EXAMPLE_SCENARIO)
-    _emit_manifest("example", t0, outputs=outputs)
-    return 0
+        return []
+    Path(args.out).write_text(EXAMPLE_SCENARIO)
+    print(f"wrote {args.out}")
+    return [args.out]
 
 
-def _cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    raw, scenario = _read_scenario(args.scenario)
+def _cmd_solve(args, scenario: Scenario) -> list[str]:
     values, policy = solve_horizon(scenario)
     n_values = _write_values_csv(args.out_values, scenario, values)
     n_policy = _write_policy_csv(args.out_policy, scenario, policy)
     print(f"wrote {args.out_values} ({n_values} rows)")
     print(f"wrote {args.out_policy} ({n_policy} rows)")
-    _emit_manifest(
-        "solve", t0, args.scenario, raw, outputs=[args.out_values, args.out_policy]
-    )
-    return 0
+    return [args.out_values, args.out_policy]
 
 
-def _cmd_fixed_point(args) -> int:
-    t0 = time.perf_counter()
-    raw, scenario = _read_scenario(args.scenario)
+def _cmd_fixed_point(args, scenario: Scenario) -> list[str]:
     violations = marginal_profit_violations(scenario)
     if violations:
         print(
@@ -184,13 +148,10 @@ def _cmd_fixed_point(args) -> int:
         f.write(_csv_rows("", labels, stationary.tolist()))
     print(f"fixed-point residual sup-norm: {_fmt(residual)}")
     print(f"wrote {args.out} ({len(labels)} rows)")
-    _emit_manifest("fixed-point", t0, args.scenario, raw, outputs=[args.out])
-    return 0
+    return [args.out]
 
 
-def _cmd_concavity(args) -> int:
-    t0 = time.perf_counter()
-    raw, scenario = _read_scenario(args.scenario)
+def _cmd_concavity(args, scenario: Scenario) -> list[str]:
     corrupt = (args.corrupt_t, args.corrupt_state, args.corrupt_delta)
     corrupt_ix = None
     if any(v is not None for v in corrupt):
@@ -225,13 +186,10 @@ def _cmd_concavity(args) -> int:
         worst = min(range(n), key=lambda i: report.epsilon[i])
         print(f"min epsilon: {_fmt(report.epsilon[worst])} at t={report.ts[worst]}")
     print(f"all nonnegative: {'true' if report.all_nonnegative else 'false'}")
-    _emit_manifest("concavity", t0, args.scenario, raw, outputs=[args.out])
-    return 0
+    return [args.out]
 
 
-def _cmd_lambda_bound(args) -> int:
-    t0 = time.perf_counter()
-    raw, scenario = _read_scenario(args.scenario)
+def _cmd_lambda_bound(args, scenario: Scenario) -> list[str]:
     bound = arrival_rate_bound(scenario)
     print(f"arrival-rate bound: {_fmt(bound) if bound != float('inf') else 'inf'}")
     lam = scenario.arrival_rate
@@ -241,42 +199,34 @@ def _cmd_lambda_bound(args) -> int:
         print(f"scenario lambda {_fmt(lam)}: not certified (no positive bound)")
     else:
         print(f"scenario lambda {_fmt(lam)}: not certified (at or above the bound)")
-    _emit_manifest("lambda-bound", t0, args.scenario, raw)
-    return 0
+    return []
 
 
-def _cmd_prices(args) -> int:
-    t0 = time.perf_counter()
-    raw, scenario = _read_scenario(args.scenario)
+def _cmd_prices(args, scenario: Scenario) -> list[str]:
     state = _parse_state(args.state)
     scenario.lattice.check(state)
     if not 1 <= args.t <= scenario.horizon:
         raise ValueError(f"--t must lie in 1..{scenario.horizon}")
-    values, _ = solve_horizon(scenario)
-    v_next = values.layer(args.t + 1)
-    solution = solve_stage(scenario, state, v_next)
+    values, policy = solve_horizon(scenario)
+    solution = policy.stage(scenario, args.t, state)
     state_txt = ",".join(str(x) for x in state)
     if not solution.open_slots():
         print(f"state {state_txt} at t={args.t}: all slots closed")
         print(f"stage value: {_fmt(solution.value)}")
-        _emit_manifest("prices", t0, args.scenario, raw)
-        return 0
+        return []
     print(f"stage prices at t={args.t}, state {state_txt}:")
     for slot, price in enumerate(solution.prices, start=1):
         print(f"  slot {slot}: {'closed' if price is None else _fmt(price)}")
-    opp = opportunity_costs(scenario, v_next, state)
+    opp = opportunity_costs(scenario, values.layer(args.t + 1), state)
     gaps = ", ".join(f"slot {s}: {_fmt(z)}" for s, z in zip(opp.slots, opp.values))
     print(f"opportunity costs: {gaps}")
     print(f"unconstrained stage gain: {_fmt(unconstrained_stage_gain(scenario, opp))}")
     print(f"interior: {'true' if solution.interior else 'false'}")
     print(f"stage value: {_fmt(solution.value)}")
-    _emit_manifest("prices", t0, args.scenario, raw)
-    return 0
+    return []
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    raw, scenario = _read_scenario(args.scenario)
+def _cmd_simulate(args, scenario: Scenario) -> list[str]:
     values, policy = solve_horizon(scenario)
     result = simulate(
         scenario, policy, args.reps, args.seed, keep_profits=args.profits_csv is not None
@@ -298,8 +248,7 @@ def _cmd_simulate(args) -> int:
     gap = abs(result.mean_profit - v1)
     z = gap / result.std_error if result.std_error > 0 else float("inf") if gap > 0 else 0.0
     print(f"value at start v1={_fmt(v1)} |mean - v1|={_fmt(gap)} z={_fmt(z)}")
-    _emit_manifest("simulate", t0, args.scenario, raw, outputs=outputs)
-    return 0
+    return outputs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,20 +306,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    path = getattr(args, "scenario", None)
+    t0 = time.perf_counter()
+    raw = scenario = None
     try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if path is not None:
+            if not Path(path).is_file():
+                raise FileNotFoundError(f"scenario file not found: {path}")
+            raw = Path(path).read_bytes()
+            scenario = load_scenario(raw.decode("utf-8"))
+        outputs = args.func(args, scenario)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, ValueError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = {
+        "command": args.command,
+        "scenario": path,
+        "scenario_sha256": None if raw is None else hashlib.sha256(raw).hexdigest(),
+        "tool_version": __version__,
+        "elapsed_seconds": round(time.perf_counter() - t0, 6),
+        "outputs": outputs,
+    }
+    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

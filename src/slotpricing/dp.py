@@ -20,7 +20,8 @@ import numpy as np
 from .model import Scenario, cost_values, marginal_profit_violations
 from .pricing import OpportunityCosts, StageSolution, _layer_solve
 
-DEFAULT_MAX_STATES = 10_000_000
+# solve_horizon refuses lattices above this many states rather than thrashing.
+MAX_STATES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,7 @@ def bellman_residual(scenario: Scenario, v: np.ndarray) -> float:
     return float(np.max(np.abs(bellman_apply(scenario, v) - np.asarray(v, dtype=float))))
 
 
-def solve_horizon(
-    scenario: Scenario, *, max_states: int = DEFAULT_MAX_STATES
-) -> tuple[ValueFunction, PricePolicy]:
+def solve_horizon(scenario: Scenario) -> tuple[ValueFunction, PricePolicy]:
     """Backward induction over the whole booking horizon.
 
     Produces the dense value table for t = 1 .. horizon + 1 together with the
@@ -174,14 +173,11 @@ def solve_horizon(
     ``8 * horizon * n_states * n_slots`` for the prices and
     ``horizon * n_states`` for the ``interior`` flags; the policy's stage
     values are a read-only view of the value table's first ``horizon`` rows.
-    Scenarios beyond ``max_states`` states are refused rather than thrashing.
+    Lattices above ``MAX_STATES`` (10,000,000) states are refused up front.
     """
     lat = scenario.lattice
-    if lat.n_states > max_states:
-        raise ValueError(
-            f"lattice has {lat.n_states} states, above the limit of {max_states}; "
-            "raise max_states explicitly to proceed"
-        )
+    if lat.n_states > MAX_STATES:
+        raise ValueError(f"lattice has {lat.n_states} states, above the limit of {MAX_STATES}")
     t_bar = scenario.horizon
     try:
         values = np.empty((t_bar + 1, lat.n_states))

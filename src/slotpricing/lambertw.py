@@ -49,4 +49,5 @@ def lambert_w0_derivative(y: float) -> float:
     if not math.isfinite(y) or y <= 0.0:
         raise ValueError(f"lambert_w0_derivative requires a finite argument > 0, got {y}")
     w = lambert_w0(y)
-    return w / (y * (1.0 + w))
+    # Dividing first keeps y * (1 + w) from overflowing near the top of the range.
+    return w / y / (1.0 + w)

@@ -68,14 +68,16 @@ def test_enclosing_weights_reproduce_targets(table1, table1_enclosings):
 
 
 def test_enclosing_state_limit(table1):
+    # 10,201 states: the candidate count alone refuses it, before any allocation
+    large = dataclasses.replace(table1, capacities=(100, 100))
+    assert large.lattice.n_states == 10_201
     with pytest.raises(ValueError, match="enumeration limit"):
-        sp.enumerate_enclosings(table1, max_states=10)
+        sp.enumerate_enclosings(large)
 
 
 def test_enclosing_candidate_limit(table1, monkeypatch):
-    # 441 states pass max_states, but the simplex-state pairs do not
+    # 441 states give too many simplex-state pairs
     large = dataclasses.replace(table1, capacities=(20, 20))
-    assert large.lattice.n_states <= sp.analysis.DEFAULT_MAX_ENUM_STATES
     with pytest.raises(ValueError, match="enumeration limit"):
         sp.enumerate_enclosings(large)
     pairs = math.comb(table1.lattice.n_states, 3) * table1.lattice.n_states

@@ -411,13 +411,54 @@ def test_concavity_refuses_large_lattice_before_solving(tmp_path, monkeypatch, c
     assert "enumeration limit" in capsys.readouterr().err
 
 
-def test_manifest_on_stderr(scenario_file, capsys):
-    assert main(["lambda-bound", "--scenario", scenario_file]) == 0
-    captured = capsys.readouterr()
-    manifest = json.loads(captured.err.strip().splitlines()[-1])
-    assert manifest["command"] == "lambda-bound"
+# Each command with its arguments and the files it writes, at horizon 12.
+COMMANDS = {
+    "example": (["--out", "ex.json"], ["ex.json"]),
+    "solve": (["--out-values", "v.csv", "--out-policy", "p.csv"], ["v.csv", "p.csv"]),
+    "fixed-point": (["--out", "f.csv"], ["f.csv"]),
+    "concavity": (["--out", "e.csv"], ["e.csv"]),
+    "lambda-bound": ([], []),
+    "prices": (["--t", "6", "--state", "1,2"], []),
+    "simulate": (["--reps", "50", "--seed", "4", "--profits-csv", "r.csv"], ["r.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_manifest_on_stderr(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc["horizon"] = 12
+    scenario_bytes = json.dumps(doc).encode()
+    (tmp_path / "s.json").write_bytes(scenario_bytes)
+    (tmp_path / "bad.json").write_text('{"lambda": 2.0}')
+    args, written = COMMANDS[command]
+    if command == "example":
+        failures = [(["example", "--out", "no/dir/ex.json"], 2)]
+    else:
+        failures = [([command, "--scenario", path, *args], code)
+                    for path, code in [("missing.json", 2), ("bad.json", 1)]]
+    # A failed run prints one error line, no manifest, and writes nothing.
+    for argv, code in failures:
+        assert main(argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "s.json"]
+
+    scenario_args = [] if command == "example" else ["--scenario", "s.json"]
+    assert main([command, *scenario_args, *args]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    manifest = json.loads(lines[0])
+    assert set(manifest) == {
+        "command", "scenario", "scenario_sha256", "tool_version", "elapsed_seconds", "outputs"
+    }
+    assert manifest["command"] == command
     assert manifest["tool_version"] == sp.__version__
-    assert manifest["scenario_sha256"] == hashlib.sha256(
-        open(scenario_file, "rb").read()
-    ).hexdigest()
-    assert "elapsed_seconds" in manifest
+    assert manifest["elapsed_seconds"] >= 0.0
+    assert manifest["outputs"] == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written + ["bad.json", "s.json"])
+    if command == "example":
+        assert manifest["scenario"] is None and manifest["scenario_sha256"] is None
+    else:
+        assert manifest["scenario"] == "s.json"
+        assert manifest["scenario_sha256"] == hashlib.sha256(scenario_bytes).hexdigest()

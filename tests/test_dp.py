@@ -176,9 +176,10 @@ def test_solve_horizon_zero_horizon(table1):
     assert policy.horizon == 0
 
 
-def test_solve_horizon_state_limit(table1):
+def test_solve_horizon_state_limit(table1, monkeypatch):
+    monkeypatch.setattr(sp.dp, "MAX_STATES", 10)
     with pytest.raises(ValueError, match="above the limit"):
-        sp.solve_horizon(table1, max_states=10)
+        sp.solve_horizon(table1)
 
 
 def test_policy_at_stationary_values(table1):

@@ -74,6 +74,13 @@ def test_derivative_anchor_values():
     assert lambert_w0_derivative(1e-8) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_derivative_at_top_of_float_range():
+    # y * (1 + w) overflows here. Since w / y = exp(-w), W'(y) = exp(-w - log1p(w)).
+    for y in (1e306, 1e307, sys.float_info.max):
+        w = lambert_w0(y)
+        assert lambert_w0_derivative(y) == pytest.approx(math.exp(-w - math.log1p(w)), rel=1e-12)
+
+
 def test_derivative_matches_finite_differences():
     for y in np.logspace(-4, 4, 25):
         y = float(y)

@@ -14,10 +14,12 @@ known, and those follow from where it falls among the slots' breakpoints.
 
 One solver prices a whole layer of states at once, in numpy arrays over the
 states and slots; the backward induction hands it every state of a layer, and
-``solve_stage`` a single state. Lambert W stays the scalar ``lambert_w0``,
-called once per row for the closed form and once more per clamped row. Every
-logit weight, in the solver and in the scalar formulas, comes from the model's
-logit kernel; the Lambert W arguments pass their ``-1`` as its log offset.
+``solve_stage`` a single state. Lambert W stays the scalar ``lambert_w0``.
+Which rows are interior is decided without it, and it is called once per
+interior row for the closed form and once per clamped row with a free slot;
+a row whose slots all sit on the box's edges needs none. Every logit weight,
+in the solver and in the scalar formulas, comes from the model's logit
+kernel; the Lambert W arguments pass their ``-1`` as its log offset.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def _layer_solve(
     result belongs to state ``rows[i]``: its stage value, its prices (NaN on
     full slots) and whether the closed-form prices fell inside the box. A
     state with every slot full keeps ``v_next`` and is not interior. Lambert W
-    is evaluated once per row with an open slot and once more per clamped row.
+    is evaluated once per interior row and once per clamped row with a price
+    strictly inside the box.
     """
     lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
     lo, hi, n = scenario.price_min, scenario.price_max, scenario.n_slots
@@ -195,9 +198,24 @@ def _layer_solve(
         live = offered.any(axis=1).nonzero()[0]
         a_live, o_live = a[live], offered[live]
         y = _logit_weights(scenario, -a_live, o_live, -1.0, errstate_held=True)[1]
-        w = np.array([lambert_w0(x) for x in y.tolist()])
+        # The closed-form prices -(1 + W(y))/bd - a_j lie in the box exactly
+        # when c_lo <= W(y) <= c_hi, with c = -bd * (edge + a_j) - 1 at the
+        # largest a_j for lo and the smallest for hi. W is increasing, at
+        # least 0, and W(c e^c) = c for c >= 0, so the test needs no W:
+        # c_hi >= 0, y <= c_hi e^c_hi and y >= c_lo e^c_lo. The first keeps a
+        # y that underflowed to 0 from passing a c_hi < 0, where c e^c is -0.0
+        # or below; the last always holds for c_lo <= 0. Exact ties count as
+        # inside: the example prices a lone slot exactly at price_max. An e^c
+        # that overflows to inf reads as no bound. fmin and fmax skip the NaN
+        # of closed slots; the slot-major copy keeps their reductions over
+        # each row's few slots fast.
+        ends = np.asfortranarray(np.where(o_live, a_live, np.nan))
+        c_hi = -bd * np.fmin.reduce(ends, axis=1) - (bd * hi + 1.0)
+        c_lo = -bd * np.fmax.reduce(ends, axis=1) - (bd * lo + 1.0)
+        inside = (c_hi >= 0.0) & (y <= c_hi * np.exp(c_hi)) & (y >= c_lo * np.exp(c_lo))
+        w = np.zeros(len(live))
+        w[inside] = [lambert_w0(x) for x in y[inside].tolist()]
         prices = (-(1.0 + w) / bd)[:, np.newaxis] - a_live
-        inside = (~o_live | ((lo <= prices) & (prices <= hi))).all(axis=1)
         gain = -lam / bd * w
         out = ~inside
         if out.any():
@@ -230,8 +248,9 @@ def _layer_solve(
             k_sum = 1.0 + u_sum
             shift = (u * (ac + fixed)).sum(axis=1) / k_sum
             d_shift = shift[:, np.newaxis] - ac
-            y = _logit_weights(scenario, d_shift, free, -1.0, errstate_held=True)[1]
-            w_out = np.array([lambert_w0(x) for x in (y / k_sum).tolist()])
+            y = _logit_weights(scenario, d_shift, free, -1.0, errstate_held=True)[1] / k_sum
+            # y is 0 when no slot is free, and W(0) = 0: only free rows call W.
+            w_out = np.array([lambert_w0(x) if x else 0.0 for x in y.tolist()])
             markup = shift - (1.0 + w_out) / bd
             prices[out] = np.minimum(np.maximum(markup[:, np.newaxis] - ac, lo), hi)
             gain[out] = lam * (shift - w_out / bd)

@@ -78,13 +78,14 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
     rng = np.random.default_rng(2718)
     scenarios = [dataclasses.replace(clamped_three_slot_scenario(), horizon=2)]
     scenarios += [random_table_cost_scenario(rng) for _ in range(10)]
-    partly_full = mixed_layers = 0
+    partly_full = mixed_layers = fully_clamped = 0
     for scenario in scenarios:
         values, policy = sp.solve_horizon(scenario)
         lat = scenario.lattice
         feasible = lat.neighbours >= 0
         offered = feasible.any(axis=1)
         partly_full += int(np.sum(offered & ~feasible.all(axis=1)))
+        lo, hi = scenario.price_min, scenario.price_max
         for t in range(1, scenario.horizon + 1):
             v_next = values.layer(t + 1)
             calls.clear()
@@ -92,15 +93,21 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
             assert np.array_equal(applied, values.layer(t))
             interior = policy.interior[t - 1]
             clamped = offered & ~interior
-            assert len(calls) == offered.sum() + clamped.sum()
-            mixed_layers += bool(interior.any() and clamped.any())
             prices = policy.prices[t - 1]
+            # W is called once per interior stage and once per clamped stage
+            # with a price strictly inside the box; a fully clamped one needs none
+            free = ((lo < prices) & (prices < hi)).any(axis=1)
+            assert len(calls) == interior.sum() + (clamped & free).sum()
+            fully_clamped += int(np.sum(clamped & ~free))
+            mixed_layers += bool(interior.any() and clamped.any())
             assert np.array_equal(np.isnan(prices), ~feasible)
             for ix, state in enumerate(lat.states()):
                 if not offered[ix]:
                     assert applied[ix] == v_next[ix] and not interior[ix]
                     continue
+                calls.clear()
                 alone = sp.solve_stage(scenario, state, v_next)
+                assert len(calls) == (1 if interior[ix] else int(free[ix]))
                 assert alone.value == applied[ix] and alone.interior == interior[ix]
                 assert alone.prices == tuple(None if math.isnan(d) else d for d in prices[ix])
                 oracle_prices, oracle_value = bisect_stage_markup(scenario, state, v_next)
@@ -108,6 +115,34 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
                 assert np.max(np.abs(prices[ix, feasible[ix]] - oracle_prices)) <= 1e-10
     assert partly_full > 0
     assert mixed_layers > 0
+    assert fully_clamped > 0
+
+
+def test_interior_flag_matches_unconstrained_prices_in_box():
+    # interior means the scalar closed form's prices all lie in the box;
+    # states within 1e-9 of an edge are skipped, as rounding may go either way
+    rng = np.random.default_rng(4242)
+    checked = skipped = inside = 0
+    for _ in range(20):
+        scenario = random_table_cost_scenario(rng, horizon=4)
+        values, policy = sp.solve_horizon(scenario)
+        lo, hi = scenario.price_min, scenario.price_max
+        for t in range(1, scenario.horizon + 1):
+            v_next = values.layer(t + 1)
+            for ix, state in enumerate(scenario.lattice.states()):
+                opp = sp.opportunity_costs(scenario, v_next, state)
+                if not opp.slots:
+                    continue
+                d = np.array(sp.unconstrained_prices(scenario, opp))
+                margin = min(np.min(d - lo), np.min(hi - d))
+                if abs(margin) <= 1e-9:
+                    skipped += 1
+                    continue
+                checked += 1
+                inside += bool(margin > 0.0)
+                assert policy.interior[t - 1, ix] == (margin > 0.0), (t, state)
+    assert 0 < inside < checked
+    assert skipped <= checked // 100, f"skipped {skipped} of {checked + skipped} states"
 
 
 def test_bellman_residual_values(table1):

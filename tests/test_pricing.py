@@ -279,6 +279,18 @@ def test_solve_stage_interior_case(table1):
     assert all(table1.price_min <= d <= table1.price_max for d in sol.prices)
 
 
+def test_closed_form_price_on_the_cap_is_interior(table1, table1_solution):
+    # at the last step with slot 2 full, slot 1's opportunity cost is 1: its
+    # W argument is e, W(e) = 1, and the closed-form price is exactly price_max
+    sol = sp.solve_stage(table1, (0, 4), sp.terminal_values(table1))
+    assert sol.interior and sol.prices == (2.0, None)
+    # the solved horizon has ten such stages, all at the end, all on the cap
+    _, policy = table1_solution
+    t, ix = np.nonzero(policy.interior)
+    assert len(t) == 10 and np.all(t >= table1.horizon - 4)
+    assert np.all(policy.prices[t, ix, 0] == table1.price_max)
+
+
 def test_solve_stage_rejects_nonfinite(table1):
     v = sp.terminal_values(table1).copy()
     v[1] = math.nan
@@ -312,22 +324,25 @@ def test_solve_stage_constrained_up_to_four_slots(monkeypatch):
     kernel = sp.pricing.lambert_w0
     monkeypatch.setattr(sp.pricing, "lambert_w0", lambda y: calls.append(y) or kernel(y))
     rng = np.random.default_rng(5151)
-    mixed = 0
+    mixed = fully_clamped = 0
     for _ in range(150):
         scenario, v_next = _random_stage(rng)
         state = (0,) * scenario.n_slots
         calls.clear()
         sol = sp.solve_stage(scenario, state, v_next)
-        assert len(calls) == (1 if sol.interior else 2)
         prices, value = bisect_stage_markup(scenario, state, v_next)
         assert sol.value == pytest.approx(value, abs=1e-10)
         assert max(abs(a - b) for a, b in zip(sol.prices, prices)) <= 1e-10
         at_bound = [d in (scenario.price_min, scenario.price_max) for d in sol.prices]
         mixed += any(at_bound) and not all(at_bound)
+        # one W call if interior, else one if some price is strictly inside the box
+        assert len(calls) == (1 if sol.interior else int(not all(at_bound)))
+        fully_clamped += not sol.interior and all(at_bound)
         for _ in range(200):
             probe = tuple(rng.uniform(scenario.price_min, scenario.price_max, scenario.n_slots))
             assert sol.value >= sp.stage_objective(scenario, state, probe, v_next) - 1e-10
     assert mixed >= 30
+    assert fully_clamped > 0
 
 
 def _assert_stage_matches_oracle_and_layer(scenario, state, v_next):
@@ -340,6 +355,32 @@ def _assert_stage_matches_oracle_and_layer(scenario, state, v_next):
     assert max(abs(a - b) for a, b in zip(offered, prices)) <= 1e-10
     assert sol.value == sp.bellman_apply(scenario, v_next)[scenario.lattice.index(state)]
     return sol
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_stage_interior_test_beyond_the_float_range(table1):
+    # The interior test compares the W argument y with c e^c at the box's
+    # edges. With beta_price -1 and price_max 800, c is near 800 and e^c
+    # overflows to inf, which must read as no bound; a box above 710 cannot
+    # hold 1 + W - a_j, so there every slot clamps at price_min.
+    v = sp.terminal_values(table1)
+    for lo, hi, interior in ((0.0, 800.0, True), (750.0, 800.0, False)):
+        scenario = dataclasses.replace(table1, price_min=lo, price_max=hi)
+        for state in [(0, 0), (2, 3), (4, 1)]:
+            sol = _assert_stage_matches_oracle_and_layer(scenario, state, v)
+            assert sol.interior is interior
+            offered = [d for d in sol.prices if d is not None]
+            if interior:
+                opp = sp.opportunity_costs(scenario, v, state)
+                assert offered == pytest.approx(sp.unconstrained_prices(scenario, opp), abs=1e-12)
+            else:
+                assert offered == [lo] * len(offered)
+    # Opportunity costs of 1000 underflow every weight, so y is 0 and c e^c
+    # is -0.0; W(0) = 0 would put the closed-form prices near 1000.
+    v = _affine_values(table1, (1000.0, 1000.0))
+    sol = _assert_stage_matches_oracle_and_layer(table1, (0, 0), v)
+    assert not sol.interior
+    assert sol.prices == (table1.price_max, table1.price_max)
 
 
 def test_solve_stage_breakpoint_tie_between_lo_and_hi():

@@ -246,5 +246,12 @@ def test_final_state_frequencies_match_exact_distribution():
     _, final = exact_policy_value(scenario, policy)
     n = 40_000
     counts = sp.simulate(scenario, policy, n, seed=31).final_state_histogram
-    sigma = np.sqrt(n * final * (1.0 - final))
-    assert np.all(np.abs(counts - n * final) <= 4.0 * sigma)
+    assert np.all(counts[final == 0.0] == 0)
+    # a state expected fewer than 5 times would break the 4 sigma bound
+    # whenever it is seen once, so such states share one pooled bin
+    small = n * final < 5.0
+    assert small.sum() > 1 and n * final[small].sum() >= 5.0
+    binned = np.append(counts[~small], counts[small].sum())
+    p = np.append(final[~small], final[small].sum())
+    sigma = np.sqrt(n * p * (1.0 - p))
+    assert np.all(np.abs(binned - n * p) <= 4.0 * sigma)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Scenario, cost_values, marginal_profit_violations
-from .pricing import OpportunityCosts, StageSolution, _layer_solve
+from .pricing import OpportunityCosts, StageSolution, _layer, _layer_solve
 
 # solve_horizon refuses lattices above this many states rather than thrashing.
 MAX_STATES = 10_000_000
@@ -155,7 +155,7 @@ def bellman_apply(scenario: Scenario, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {scenario.lattice.n_states} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    return _layer_solve(scenario, v, np.arange(scenario.lattice.n_states))[0]
+    return _layer_solve(scenario, v, _layer(scenario, np.arange(scenario.lattice.n_states)))[0]
 
 
 def bellman_residual(scenario: Scenario, v: np.ndarray) -> float:
@@ -197,10 +197,10 @@ def _backward(scenario: Scenario, values: np.ndarray, stage_values: np.ndarray) 
     t_bar, n = scenario.horizon, scenario.lattice.n_states
     prices = np.full((t_bar, n, scenario.n_slots), np.nan)
     interior = np.zeros((t_bar, n), dtype=bool)
-    rows = np.arange(n)
+    layer = _layer(scenario, np.arange(n))
     for t in range(t_bar, 0, -1):
         stage_values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(
-            scenario, values[t], rows
+            scenario, values[t], layer
         )
     return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 

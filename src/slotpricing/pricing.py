@@ -13,20 +13,24 @@ clamped to the box; the markup has a closed form once the clamped slots are
 known, and those follow from where it falls among the slots' breakpoints.
 
 One solver prices a whole layer of states at once, in numpy arrays over the
-states and slots; the backward induction hands it every state of a layer, and
-``solve_stage`` a single state. Lambert W stays the scalar ``lambert_w0``.
-Which rows are interior is decided without it, and it is called once per
-interior row for the closed form and once per clamped row with a free slot;
-a row whose slots all sit on the box's edges needs none. Every logit weight,
-in the solver and in the scalar formulas, comes from the model's logit
-kernel; the Lambert W arguments pass their ``-1`` as its log offset.
+states and slots; the backward induction builds the layer's fixed geometry
+once and hands it every state of each layer, and ``solve_stage`` a single
+state. Lambert W stays the scalar ``lambert_w0``. The rows are settled in
+order. First the interior rows, found without W and priced by the closed
+form, one W call each. Then the capped rows, where every offered slot
+charges ``price_max``: the markup's first-order condition at the cap decides
+them, and they are priced in closed form with no W call. Then the breakpoint
+walk over the rest, with one W call per row that has a free slot. Every
+logit weight, in the solver and in the scalar formulas, comes from the
+model's logit kernel; the Lambert W arguments pass their ``-1`` as its log
+offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -175,28 +179,52 @@ def stage_objective(
     return float(v_next[ix]) + float(scenario.arrival_rate * num / (1.0 + total))
 
 
+class _Layer(NamedTuple):
+    """What stays fixed about a layer of states from one time step to the next.
+
+    ``rows`` are the states; ``live`` indexes the rows with a slot to offer,
+    ``nbr_live`` and ``o_live`` are those rows' neighbours and offered slots,
+    and ``nan_prices`` is the layer's price table before any row is priced.
+    """
+
+    rows: np.ndarray
+    live: np.ndarray
+    nbr_live: np.ndarray
+    o_live: np.ndarray
+    nan_prices: np.ndarray
+
+
+def _layer(scenario: Scenario, rows: np.ndarray) -> _Layer:
+    """The fixed geometry of the layer of states ``rows``."""
+    nbr = scenario.lattice.neighbours[rows]
+    offered = nbr >= 0
+    live = offered.any(axis=1).nonzero()[0]
+    return _Layer(rows, live, nbr[live], offered[live], np.full(nbr.shape, np.nan))
+
+
 def _layer_solve(
-    scenario: Scenario, v_next: np.ndarray, rows: np.ndarray
+    scenario: Scenario, v_next: np.ndarray, layer: _Layer
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage values, prices and interior flags of the states ``rows``, as arrays.
+    """Stage values, prices and interior flags of the states ``layer.rows``, as arrays.
 
     ``v_next`` holds the finite next-step values of every state. Row i of the
-    result belongs to state ``rows[i]``: its stage value, its prices (NaN on
-    full slots) and whether the closed-form prices fell inside the box. A
-    state with every slot full keeps ``v_next`` and is not interior. Lambert W
-    is evaluated once per interior row and once per clamped row with a price
+    result belongs to state ``layer.rows[i]``: its stage value, its prices
+    (NaN on full slots) and whether the closed-form prices fell inside the
+    box. A state with every slot full keeps ``v_next`` and is not interior.
+    The rows are settled in three passes: the interior rows by the closed
+    form, one Lambert W each; then the capped rows, where every offered slot
+    charges ``price_max``, in closed form with no Lambert W; then the
+    breakpoint walk on the rest, with one Lambert W per row that has a price
     strictly inside the box.
     """
     lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
     lo, hi, n = scenario.price_min, scenario.price_max, scenario.n_slots
-    nbr = scenario.lattice.neighbours[rows]
-    offered = nbr >= 0
-    values = v_next[rows]
-    a = np.where(offered, r - (values[:, np.newaxis] - v_next[nbr]), 0.0)  # net_revenue - z
+    live, o_live = layer.live, layer.o_live
+    values = v_next[layer.rows]
+    # net_revenue - z
+    a_live = np.where(o_live, r - (values[live][:, np.newaxis] - v_next[layer.nbr_live]), 0.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        live = offered.any(axis=1).nonzero()[0]
-        a_live, o_live = a[live], offered[live]
         y = _logit_weights(scenario, -a_live, o_live, -1.0, errstate_held=True)[1]
         # The closed-form prices -(1 + W(y))/bd - a_j lie in the box exactly
         # when c_lo <= W(y) <= c_hi, with c = -bd * (edge + a_j) - 1 at the
@@ -210,23 +238,37 @@ def _layer_solve(
         # of closed slots; the slot-major copy keeps their reductions over
         # each row's few slots fast.
         ends = np.asfortranarray(np.where(o_live, a_live, np.nan))
+        a_max = np.fmax.reduce(ends, axis=1)
         c_hi = -bd * np.fmin.reduce(ends, axis=1) - (bd * hi + 1.0)
-        c_lo = -bd * np.fmax.reduce(ends, axis=1) - (bd * lo + 1.0)
+        c_lo = -bd * a_max - (bd * lo + 1.0)
         inside = (c_hi >= 0.0) & (y <= c_hi * np.exp(c_hi)) & (y >= c_lo * np.exp(c_lo))
         w = np.zeros(len(live))
         w[inside] = [lambert_w0(x) for x in y[inside].tolist()]
         prices = (-(1.0 + w) / bd)[:, np.newaxis] - a_live
         gain = -lam / bd * w
-        out = ~inside
-        if out.any():
+        out = (~inside).nonzero()[0]
+        if len(out):
             # Off the box the optimum is still d_j = clamp(m - a_j) for one
             # markup m, the unique root of g(m) = surplus/lam - 1/bd - m; g is
-            # positive left of it and negative right of it. So the root's
-            # interval starts at left = max{b : g(b) >= 0} over the unsorted
-            # breakpoints lo + a_j (slot j leaves lo) and hi + a_j (slot j
-            # reaches hi), +inf on full slots. Slot j sits at hi iff
-            # hi + a_j <= left, and is free iff lo + a_j <= left and it is not
-            # at hi.
+            # positive left of it and negative right of it. Every slot sits
+            # at hi iff m >= hi + max_j a_j, that is iff g >= 0 there, where
+            # all prices are hi and surplus/lam is s_hi. Then the clamped-set
+            # formulas below have no free slot and W = 0, and the gain is
+            # lam * s_hi. An s_hi that overflows to inf fails the final
+            # finiteness check; a NaN one is not capped, and the walk raises.
+            ac, oc = a_live[out], o_live[out]
+            u, u_sum = _logit_weights(scenario, hi, oc, errstate_held=True)
+            s_hi = (u * (ac + hi)).sum(axis=1) / (1.0 + u_sum)
+            capped = s_hi - 1.0 / bd >= hi + a_max[out]
+            prices[out[capped]] = hi
+            gain[out[capped]] = lam * s_hi[capped]
+            out = out[~capped]
+        if len(out):
+            # Otherwise the root's interval starts at left = max{b : g(b) >=
+            # 0} over the unsorted breakpoints lo + a_j (slot j leaves lo) and
+            # hi + a_j (slot j reaches hi), +inf on full slots. Slot j sits at
+            # hi iff hi + a_j <= left, and is free iff lo + a_j <= left and it
+            # is not at hi.
             ac, oc = a_live[out], o_live[out]
             ends = np.where(oc, ac, np.inf)
             breaks = np.concatenate([lo + ends, hi + ends], axis=1)
@@ -257,7 +299,7 @@ def _layer_solve(
         values[live] += gain
     if not np.isfinite(values).all():
         raise ValueError(_OVERFLOW)
-    layer_prices = np.full(nbr.shape, np.nan)
+    layer_prices = layer.nan_prices.copy()
     layer_prices[live] = np.where(o_live, prices, np.nan)
     interior = np.zeros(len(values), dtype=bool)
     interior[live] = inside
@@ -284,7 +326,8 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
     v_next = np.asarray(v_next, dtype=float)
     if not np.all(np.isfinite(v_next[[ix, *nbr[nbr >= 0]]])):
         raise ValueError("next-step values must be finite")
-    values, prices, interior = _layer_solve(scenario, v_next, np.array([ix]))
+    layer = _layer(scenario, np.array([ix]))
+    values, prices, interior = _layer_solve(scenario, v_next, layer)
     return StageSolution(
         prices=tuple(None if math.isnan(d) else d for d in prices[0].tolist()),
         value=float(values[0]),

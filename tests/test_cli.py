@@ -322,19 +322,68 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
-# At 708.5 each slot weight is finite but their sum overflows; at 720 one weight does.
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("beta_const", [708.5, 720.0])
-@pytest.mark.parametrize(
-    "args",
-    [["solve", "--out-values", "v.csv", "--out-policy", "p.csv"], ["fixed-point", "--out", "f.csv"]],
-)
-def test_overflowing_scenario_exits_one(tmp_path, monkeypatch, capsys, args, beta_const):
+_OVERFLOW_ARGS = [
+    ["solve", "--out-values", "v.csv", "--out-policy", "p.csv"],
+    ["fixed-point", "--out", "f.csv"],
+]
+
+
+def _example_with(tmp_path, beta_const, coefficients=None):
     doc = json.loads(EXAMPLE_SCENARIO)
     doc["beta_const"] = beta_const
     doc["horizon"] = 5
+    if coefficients is not None:
+        doc["cost"]["coefficients"] = coefficients
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+# At 708.5 every weight and weight sum at the solution stays finite: the price
+# of every stage is price_max, where the weights are e^707.5 and e^705.5.
+# (At price_min they are e^709.5 and e^707.5, whose sum, 1.54e308, is finite
+# too, but the surplus there overflows.)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", _OVERFLOW_ARGS)
+def test_large_but_finite_utility_solves(tmp_path, monkeypatch, capsys, args):
+    path = _example_with(tmp_path, 708.5)
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--scenario", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    scenario = sp.load_scenario(path.read_text())
+    if args[0] == "fixed-point":
+        residual = out.split("fixed-point residual sup-norm: ")[1].split()[0]
+        assert math.isfinite(float(residual))
+        assert all(math.isfinite(float(r["value"])) for r in _read_csv("f.csv"))
+        return
+    values, policy = sp.solve_horizon(scenario)
+    parsed = np.array([float(r["value"]) for r in _read_csv("v.csv")])
+    assert np.array_equal(parsed, values.values.ravel())
+    assert np.isfinite(values.values).all()
+    open_prices = policy.prices[~np.isnan(policy.prices)]
+    assert len(open_prices) == len(_read_csv("p.csv"))
+    assert np.all((scenario.price_min <= open_prices) & (open_prices <= scenario.price_max))
+    for t in range(1, scenario.horizon + 1):
+        for state in scenario.lattice.states():
+            stage = policy.stage(scenario, t, state)
+            objective = sp.stage_objective(scenario, state, stage.prices, values.layer(t + 1))
+            assert stage.value == objective
+
+
+# At 720 one weight overflows wherever it is priced. With marginal costs of
+# 2.5, 711 keeps the closed form's weights finite but not those at price_max,
+# so the stage surplus with every slot at the cap overflows.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "beta_const, coefficients",
+    [pytest.param(720.0, None, id="720.0"), pytest.param(711.0, [2.5, 2.5], id="711.0-cap")],
+)
+@pytest.mark.parametrize("args", _OVERFLOW_ARGS)
+def test_overflowing_scenario_exits_one(
+    tmp_path, monkeypatch, capsys, args, beta_const, coefficients
+):
+    path = _example_with(tmp_path, beta_const, coefficients)
     monkeypatch.chdir(tmp_path)
     assert main(args + ["--scenario", str(path)]) == 1
     err = capsys.readouterr().err

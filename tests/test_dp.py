@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import slotpricing as sp
+from slotpricing.cli import EXAMPLE_SCENARIO
 
 from oracles import (
     bisect_stage_markup,
@@ -78,7 +79,7 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
     rng = np.random.default_rng(2718)
     scenarios = [dataclasses.replace(clamped_three_slot_scenario(), horizon=2)]
     scenarios += [random_table_cost_scenario(rng) for _ in range(10)]
-    partly_full = mixed_layers = fully_clamped = 0
+    partly_full = mixed_layers = fully_clamped = capped_and_walked = 0
     for scenario in scenarios:
         values, policy = sp.solve_horizon(scenario)
         lat = scenario.lattice
@@ -100,6 +101,10 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
             assert len(calls) == interior.sum() + (clamped & free).sum()
             fully_clamped += int(np.sum(clamped & ~free))
             mixed_layers += bool(interior.any() and clamped.any())
+            # capped rows price every offered slot at hi in closed form; the
+            # breakpoint walk prices the other clamped rows, some slot below hi
+            at_hi = np.all(np.isnan(prices) | (prices == hi), axis=1)
+            capped_and_walked += bool((clamped & at_hi).any() and (clamped & ~at_hi).any())
             assert np.array_equal(np.isnan(prices), ~feasible)
             for ix, state in enumerate(lat.states()):
                 if not offered[ix]:
@@ -116,6 +121,40 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
     assert partly_full > 0
     assert mixed_layers > 0
     assert fully_clamped > 0
+    assert capped_and_walked > 0
+
+
+def test_capped_stages_are_the_non_interior_stages_at_the_cap():
+    # A stage is capped when g(m) = surplus/lam - 1/bd - m is still >= 0 at
+    # the markup m = price_max + max_j (net_revenue - z_j) where the last slot
+    # reaches the cap; then every offered slot charges price_max. g comes from
+    # stage_surplus at the cap; stages within 1e-9 of the tie are skipped.
+    rng = np.random.default_rng(9090)
+    scenarios = [sp.load_scenario(EXAMPLE_SCENARIO)]
+    scenarios += [random_table_cost_scenario(rng, horizon=4) for _ in range(20)]
+    checked = skipped = capped = 0
+    for scenario in scenarios:
+        values, policy = sp.solve_horizon(scenario)
+        lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
+        hi = scenario.price_max
+        for t in range(1, scenario.horizon + 1):
+            v_next = values.layer(t + 1)
+            for ix, state in enumerate(scenario.lattice.states()):
+                opp = sp.opportunity_costs(scenario, v_next, state)
+                if not opp.slots:
+                    continue
+                s_hi = sp.stage_surplus(scenario, opp, [hi] * len(opp.slots)) / lam
+                g = s_hi - 1.0 / bd - (hi + r - min(opp.values))
+                if abs(g) <= 1e-9:
+                    skipped += 1
+                    continue
+                checked += 1
+                capped += bool(g > 0.0)
+                offered = policy.prices[t - 1, ix, np.asarray(opp.slots) - 1]
+                at_cap = not policy.interior[t - 1, ix] and bool(np.all(offered == hi))
+                assert at_cap == (g > 0.0), (t, state)
+    assert 0 < capped < checked, (capped, checked)
+    assert skipped <= checked // 100, f"skipped {skipped} of {checked + skipped} stages"
 
 
 def test_interior_flag_matches_unconstrained_prices_in_box():

@@ -96,6 +96,32 @@ def test_seed_outside_philox_key_range_is_rejected(table1):
         assert sp.simulate(table1, policy, 10, seed=seed).seed == seed
 
 
+def test_reps_and_seed_must_be_integers(table1, monkeypatch):
+    policy = sp.PricePolicy.all_closed(table1)
+    expected = sp.simulate(table1, policy, 10, seed=1)
+    # numpy integers are integers
+    result = sp.simulate(table1, policy, np.int32(10), seed=np.uint64(1))
+    assert result.seed == 1 and type(result.seed) is int and result.replications == 10
+    assert result.final_state_histogram.tobytes() == expected.final_state_histogram.tobytes()
+
+    def no_tables(*args):
+        raise AssertionError("argument checks must come before any table is built")
+
+    monkeypatch.setattr(sim, "_policy_tables", no_tables)
+    for reps, seed, name in [
+        (10, 1.5, "seed"),
+        (10, 1.9, "seed"),
+        (10, True, "seed"),
+        (10, np.True_, "seed"),
+        (10, "1", "seed"),
+        (10.0, 1, "reps"),
+        (1.5, 1, "reps"),
+        (True, 1, "reps"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            sp.simulate(table1, policy, reps, seed=seed)
+
+
 def test_step_frequencies_match_choice_model(table1, table1_solution):
     _, policy = table1_solution
     cum, _ = _policy_tables(table1, policy, table1.arrival_rate)
@@ -184,14 +210,30 @@ def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatc
     cases = [(table1, table1_solution[1], 20_000), (longer, sp.solve_horizon(longer)[1], 10_001)]
     for scenario, policy, reps in cases:
         default = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
-        for chunk in (7, 4096):
+        # tiles of 1 and 5 rows: every tile edge, and a partial last tile per block
+        for chunk, tile in ((7, sim._TILE), (4096, sim._TILE), (sim._CHUNK, 1), (4096, 5)):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
+            monkeypatch.setattr(sim, "_TILE", tile)
             other = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
             assert other.profits.tobytes() == default.profits.tobytes()
             assert np.array_equal(other.final_state_histogram, default.final_state_histogram)
             assert other.mean_profit == default.mean_profit
             assert other.std_error == default.std_error
         monkeypatch.undo()
+
+
+def test_results_do_not_depend_on_worker_count(table1, table1_solution, monkeypatch):
+    _, policy = table1_solution
+    monkeypatch.setattr(sim, "_CHUNK", 500)  # 13 blocks, the last one partial
+    monkeypatch.setattr(sim, "_TILE", 64)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sim, "_WORKERS", workers)
+        runs.append(sp.simulate(table1, policy, 6_100, seed=3, keep_profits=True))
+    one, two = runs
+    assert one.profits.tobytes() == two.profits.tobytes()
+    assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
+    assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
 
 
 def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monkeypatch):
@@ -209,9 +251,12 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
     ]
     for scenario, policy, rate, reps in cases:
         profits, histogram = reference_simulation(scenario, policy, reps, 17, arrival_rate=rate)
-        # small blocks put many blocks, at nonzero counter offsets, on both workers
-        for chunk in (sim._CHUNK, 7, 64):
+        # small blocks put many blocks, at nonzero counter offsets, on both
+        # workers; 1- and 5-row tiles cross every tile edge and end blocks
+        # on a partial tile
+        for chunk, tile in ((sim._CHUNK, sim._TILE), (7, sim._TILE), (64, 1), (64, 5)):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
+            monkeypatch.setattr(sim, "_TILE", tile)
             result = sp.simulate(
                 scenario, policy, reps, seed=17, arrival_rate=rate, keep_profits=True
             )

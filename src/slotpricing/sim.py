@@ -8,15 +8,16 @@ The sample mean cross-validates the solved value at the initial state. The
 sale probabilities come from the model's logit kernel, so an overflowing
 utility raises the same error here as in the solver.
 
-Replications run in blocks, each with its own Philox generator at the
-counter offset of its first draw. Two threads fill blocks with their draws,
-time-major; one thread at a time walks a filled block, and each block writes
-its results at its replications' indices.
+Replications run in blocks, each with its own PCG64DXSM generator advanced
+to its first draw. Two threads fill blocks with their draws, time-major; one
+thread at a time walks a filled block, and each block writes its results at
+its replications' indices.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -27,17 +28,17 @@ import numpy as np
 from .dp import PricePolicy
 from .model import Scenario, _logit_weights, cost_values
 
-GENERATOR = "numpy.random.Philox"
-# Replications per block; each block's generator starts at its own Philox
-# counter offset, so results are block-size invariant. _WORKERS threads fill
-# blocks, and the Philox fill releases the interpreter lock, so one block
-# fills while another walks. The walk is bound by the interpreter lock, and
-# two concurrent walks mostly wait on each other, so a lock lets one thread
-# walk at a time. Halving the block to 6,144 rows saved about 19 MiB on the
-# paper example but ran 11-19% slower on a 2-core host.
+GENERATOR = "numpy.random.PCG64DXSM"
+# Replications per block; each block's generator is advanced to its own first
+# draw, so results are block-size invariant. _WORKERS threads fill blocks,
+# and the fill releases the interpreter lock, so one block fills while
+# another walks. The walk is bound by the interpreter lock, and two
+# concurrent walks mostly wait on each other, so a lock lets one thread walk
+# at a time. Halving the block to 6,144 rows saved about 19 MiB on the paper
+# example but ran 11-19% slower on a 2-core host.
 _CHUNK = 12_288
 _WORKERS = 2
-# Replications per Philox fill: a (_TILE, horizon) tile in stream order,
+# Replications per fill: a (_TILE, horizon) tile in stream order,
 # copied transposed into the block's time-major (horizon, rows) buffer.
 _TILE = 256
 
@@ -112,38 +113,43 @@ def simulate(
     """Estimate the expected booking-horizon profit of ``policy``.
 
     Bit-reproducible for a fixed ``seed``: replication i consumes exactly the
-    draws ``[i * horizon, (i + 1) * horizon)`` of the counter-based Philox
-    stream keyed by ``seed``. Each block of replications opens that stream
-    at its own first draw (counter ``first // 4``, then ``first % 4`` draws
-    skipped: Philox yields four draws per counter step) and fills its draws
-    in stream order, a tile of replications at a time, into a time-major
-    buffer, so a booking step reads one contiguous row. Two worker threads
-    fill blocks; one thread at a time walks a filled block. Each block
-    writes its profits at its replications' indices and returns its
-    final-state counts, which are summed as integers, so results depend
-    neither on the block or tile size nor on which thread ran a block. A step
-    tests every row's draw against its state's sale probability; only the
-    rows that sell look up their slot, the number of cumulative thresholds
-    at or below the draw. ``arrival_rate`` optionally overrides the
-    scenario's rate (0.0 is allowed here, unlike in the solver). The mean
-    uses index-ordered pairwise summation. ``ValueError`` is raised, before
+    draws ``[i * horizon, (i + 1) * horizon)`` of the PCG64DXSM stream
+    seeded with ``seed`` (one 64-bit output per draw). Each block of
+    replications opens that stream at its own first draw with ``advance``
+    and fills its draws in stream order, a tile of replications at a time,
+    into a time-major buffer, so a booking step reads one contiguous row.
+    Two worker threads fill blocks; one thread at a time walks a filled
+    block. Each block writes its profits at its replications' indices and
+    returns its final-state counts, which are summed as integers, so results
+    depend neither on the block or tile size nor on which thread ran a
+    block. A step tests every row's draw against its state's sale
+    probability; only the rows that sell look up their slot, the number of
+    cumulative thresholds at or below the draw. ``arrival_rate`` optionally
+    overrides the scenario's rate (0.0 is allowed here, unlike in the
+    solver). The mean uses index-ordered pairwise summation. ``ValueError`` is raised, before
     any allocation or thread, when ``reps`` or ``seed`` is not an integer
-    (bools included), when ``reps`` is below 1 or ``seed`` lies outside
-    ``[0, 2**128)``; and when a logit weight or a state's sum of weights
-    overflows the float range.
+    (bools included), when ``arrival_rate`` is not a real number (str,
+    bytes and bools included), when ``reps`` is below 1, ``seed`` lies
+    outside ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; and when
+    a logit weight or a state's sum of weights overflows the float range.
     """
     reps, seed = _integer("reps", reps), _integer("seed", seed)
     if reps < 1:
         raise ValueError("at least one replication is required")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
+    if arrival_rate is None:
+        lam = scenario.arrival_rate
+    elif isinstance(arrival_rate, numbers.Real) and not isinstance(arrival_rate, bool):
+        lam = float(arrival_rate)
+    else:
+        raise ValueError(f"arrival_rate must be a real number, got {arrival_rate!r}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("arrival rate override must lie in [0, 1)")
     if policy.fingerprint != scenario.fingerprint():
         raise ValueError("policy was computed for a different scenario")
     if policy.horizon != scenario.horizon:
         raise ValueError("policy horizon does not match the scenario")
-    lam = scenario.arrival_rate if arrival_rate is None else float(arrival_rate)
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("arrival rate override must lie in [0, 1)")
     lat = scenario.lattice
     horizon = scenario.horizon
     costs = cost_values(scenario)
@@ -159,9 +165,8 @@ def simulate(
         """Write the profits of replications ``start`` onwards into
         ``profits``; return their final-state counts."""
         size = min(_CHUNK, reps - start)
-        first = start * horizon  # four draws per Philox counter step
-        bits = np.random.Philox(key=seed, counter=first // 4)
-        bits.random_raw(first % 4)
+        bits = np.random.PCG64DXSM(seed)
+        bits.advance(start * horizon)
         rng = np.random.Generator(bits)
         if not hasattr(buffers, "u"):
             rows = min(_CHUNK, reps)

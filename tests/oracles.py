@@ -271,13 +271,14 @@ def _slot_probabilities(scenario, prices, rate):
 def reference_simulation(scenario, policy, reps, seed, arrival_rate=None):
     """Profits and final-state histogram of a scalar walk, one replication at a time.
 
-    Replication i takes the next ``horizon`` uniforms of one Philox stream
-    keyed by ``seed``. A step sells when its draw is below the summed slot
-    probabilities, to the first slot whose running sum exceeds the draw.
+    Replication i takes the next ``horizon`` uniforms of one PCG64DXSM stream
+    seeded with ``seed``, read in order from its start and never advanced. A
+    step sells when its draw is below the summed slot probabilities, to the
+    first slot whose running sum exceeds the draw.
     """
     rate = scenario.arrival_rate if arrival_rate is None else arrival_rate
     lat = scenario.lattice
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.PCG64DXSM(seed))
     profits = np.empty(reps)
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     for i in range(reps):

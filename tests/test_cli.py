@@ -304,7 +304,7 @@ def test_simulate_command(short_scenario_file, tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "simulate reps=400 seed=42" in stdout
-    assert "generator=numpy.random.Philox" in stdout
+    assert "generator=numpy.random.PCG64DXSM" in stdout
     assert len(_read_csv(profits)) == 400
 
 

@@ -25,7 +25,7 @@ def test_all_closed_policy_is_deterministic(table1):
     assert result.std_error == 0.0
     assert result.final_state_histogram[0] == 500
     assert result.final_state_histogram.sum() == 500
-    assert result.generator == "numpy.random.Philox"
+    assert result.generator == "numpy.random.PCG64DXSM"
 
 
 def test_seeded_reproducibility(table1, table1_solution):
@@ -60,6 +60,24 @@ def test_arrival_rate_override_zero(table1, table1_solution):
     assert result.mean_profit == -2.0 and result.std_error == 0.0
     with pytest.raises(ValueError, match="arrival rate"):
         sp.simulate(table1, policy, 10, seed=3, arrival_rate=1.0)
+
+
+def test_arrival_rate_must_be_a_real_number(table1, table1_solution, monkeypatch):
+    _, policy = table1_solution
+    expected = sp.simulate(table1, policy, 50, seed=3, arrival_rate=0.25, keep_profits=True)
+    # ints, floats and numpy floats are real numbers
+    for rate in (0.25, np.float64(0.25), np.float32(0.25)):
+        result = sp.simulate(table1, policy, 50, seed=3, arrival_rate=rate, keep_profits=True)
+        assert result.profits.tobytes() == expected.profits.tobytes()
+    assert sp.simulate(table1, policy, 50, seed=3, arrival_rate=0).mean_profit == -2.0
+
+    def no_tables(*args):
+        raise AssertionError("argument checks must come before any table is built")
+
+    monkeypatch.setattr(sim, "_policy_tables", no_tables)
+    for rate in ("0.25", b"0.25", False, True, np.False_):
+        with pytest.raises(ValueError, match="^arrival_rate must be a real number"):
+            sp.simulate(table1, policy, 50, seed=3, arrival_rate=rate)
 
 
 def test_histogram_stays_inside_lattice(table1, table1_solution):
@@ -206,7 +224,8 @@ def test_overflowing_logit_is_rejected(table1):
 
 def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):
     longer = dataclasses.replace(clamped_three_slot_scenario(), horizon=21)
-    # horizon 21: most blocks start inside a Philox counter step
+    # horizon 21: blocks open the stream with ``advance`` offsets (start * 21
+    # draws) that are odd for odd starts, unlike table1's multiples of 200
     cases = [(table1, table1_solution[1], 20_000), (longer, sp.solve_horizon(longer)[1], 10_001)]
     for scenario, policy, reps in cases:
         default = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
@@ -242,23 +261,24 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
     longer = dataclasses.replace(clamped, horizon=21)
     rng = np.random.default_rng(5)
     cases = [
-        (table1, optimal, None, 300),
-        (table1, sp.PricePolicy.constant_price(table1, 1.0), None, 300),
-        (table1, optimal, 0.9, 300),
-        (table1, random_policy(table1, rng), 0.9, 300),
-        (clamped, sp.solve_horizon(clamped)[1], None, 3000),
-        (longer, random_policy(longer, rng), None, 3000),
+        (table1, optimal, None, 300, 17),
+        (table1, sp.PricePolicy.constant_price(table1, 1.0), None, 300, 17),
+        (table1, optimal, 0.9, 300, 17),
+        (table1, random_policy(table1, rng), 0.9, 300, 17),
+        (clamped, sp.solve_horizon(clamped)[1], None, 3000, 17),
+        (longer, random_policy(longer, rng), None, 3000, 17),
+        (table1, optimal, 0.9, 300, 2**128 - 1),  # the top of the seed range
     ]
-    for scenario, policy, rate, reps in cases:
-        profits, histogram = reference_simulation(scenario, policy, reps, 17, arrival_rate=rate)
-        # small blocks put many blocks, at nonzero counter offsets, on both
+    for scenario, policy, rate, reps, seed in cases:
+        profits, histogram = reference_simulation(scenario, policy, reps, seed, arrival_rate=rate)
+        # small blocks put many blocks, at nonzero ``advance`` offsets, on both
         # workers; 1- and 5-row tiles cross every tile edge and end blocks
         # on a partial tile
         for chunk, tile in ((sim._CHUNK, sim._TILE), (7, sim._TILE), (64, 1), (64, 5)):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
             monkeypatch.setattr(sim, "_TILE", tile)
             result = sp.simulate(
-                scenario, policy, reps, seed=17, arrival_rate=rate, keep_profits=True
+                scenario, policy, reps, seed=seed, arrival_rate=rate, keep_profits=True
             )
             assert np.array_equal(result.final_state_histogram, histogram)
             assert np.max(np.abs(result.profits - profits)) <= 1e-12

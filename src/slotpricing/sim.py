@@ -8,10 +8,11 @@ The sample mean cross-validates the solved value at the initial state. The
 sale probabilities come from the model's logit kernel, so an overflowing
 utility raises the same error here as in the solver.
 
-Replications run in blocks, each with its own PCG64DXSM generator advanced
-to its first draw. Two threads fill blocks with their draws, time-major; one
-thread at a time walks a filled block, and each block writes its results at
-its replications' indices.
+Replications run in near-equal blocks on two threads. The stream is
+time-major: at each booking step a block jumps its PCG64DXSM generator to its
+own draws of that step, fills one vector and walks the step, so it needs no
+draw buffer and no lock, and it writes its results at its replications'
+indices.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,18 +29,15 @@ from .dp import PricePolicy
 from .model import Scenario, _logit_weights, cost_values
 
 GENERATOR = "numpy.random.PCG64DXSM"
-# Replications per block; each block's generator is advanced to its own first
-# draw, so results are block-size invariant. _WORKERS threads fill blocks,
-# and the fill releases the interpreter lock, so one block fills while
-# another walks. The walk is bound by the interpreter lock, and two
-# concurrent walks mostly wait on each other, so a lock lets one thread walk
-# at a time. Halving the block to 6,144 rows saved about 19 MiB on the paper
-# example but ran 11-19% slower on a 2-core host.
-_CHUNK = 12_288
+# Most replications per block. A block holds one draw, state and profit per
+# replication and calls ``advance`` once per step, so wide blocks cost little
+# memory and spread the per-step numpy overhead over many rows. Every block
+# reads its own positions of one stream, so results do not depend on the
+# split. _WORKERS threads walk blocks at once. On a 2-core host the paper
+# example (200,000 replications) took 0.13 s in blocks of 50,000 rows, and
+# 0.21 s in blocks of 16,384 rows or on one thread (best of 7).
+_CHUNK = 65_536
 _WORKERS = 2
-# Replications per fill: a (_TILE, horizon) tile in stream order,
-# copied transposed into the block's time-major (horizon, rows) buffer.
-_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class SimulationResult:
     by sqrt(replications) (0.0 with a single replication). The histogram
     counts the final lattice state of every replication and sums to
     ``replications``. ``generator`` records the PRNG so the run can be
-    replayed from ``seed``.
+    replayed from ``seed`` and ``replications``.
     """
 
     replications: int
@@ -112,24 +109,26 @@ def simulate(
 ) -> SimulationResult:
     """Estimate the expected booking-horizon profit of ``policy``.
 
-    Bit-reproducible for a fixed ``seed``: replication i consumes exactly the
-    draws ``[i * horizon, (i + 1) * horizon)`` of the PCG64DXSM stream
-    seeded with ``seed`` (one 64-bit output per draw). Each block of
-    replications opens that stream at its own first draw with ``advance``
-    and fills its draws in stream order, a tile of replications at a time,
-    into a time-major buffer, so a booking step reads one contiguous row.
-    Two worker threads fill blocks; one thread at a time walks a filled
-    block. Each block writes its profits at its replications' indices and
-    returns its final-state counts, which are summed as integers, so results
-    depend neither on the block or tile size nor on which thread ran a
-    block. A step tests every row's draw against its state's sale
-    probability; only the rows that sell look up their slot, the number of
-    cumulative thresholds at or below the draw. ``arrival_rate`` optionally
-    overrides the scenario's rate (0.0 is allowed here, unlike in the
-    solver). The mean uses index-ordered pairwise summation. ``ValueError`` is raised, before
-    any allocation or thread, when ``reps`` or ``seed`` is not an integer
-    (bools included), when ``arrival_rate`` is not a real number (str,
-    bytes and bools included), when ``reps`` is below 1, ``seed`` lies
+    Bit-reproducible for a fixed ``seed`` and ``reps``: at booking step t
+    (0-based), replication i consumes draw ``t * reps + i`` of the PCG64DXSM
+    stream seeded with ``seed`` (one 64-bit output per draw), so the path of
+    a replication depends on ``reps`` as well as on ``seed``. The
+    replications split into ``max(_WORKERS, ceil(reps / _CHUNK))`` near-equal
+    blocks, never more than ``reps``, which ``_WORKERS`` threads walk at
+    once. A block opens the stream at its first draw with ``advance``; at
+    each step it fills its draws into one vector, advances past the other
+    blocks' draws of that step and walks the step. Each block writes its
+    profits at its replications' indices and returns its final-state counts,
+    which are summed as integers, so results depend neither on the split nor
+    on which thread ran a block. A step tests every row's draw against its
+    state's sale probability; only the rows that sell look up their slot,
+    the number of cumulative thresholds at or below the draw.
+    ``arrival_rate`` optionally overrides the scenario's rate (0.0 is
+    allowed here, unlike in the solver). The mean uses index-ordered
+    pairwise summation. ``ValueError`` is raised, before any allocation or
+    thread, when ``reps`` or ``seed`` is not an integer (bools included),
+    when ``arrival_rate`` is not a real number (str, bytes and bools
+    included), when ``reps`` is below 1, ``seed`` lies
     outside ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; and when
     a logit weight or a state's sum of weights overflows the float range.
     """
@@ -158,43 +157,37 @@ def simulate(
     del cum
 
     profits = np.zeros(reps)
-    buffers = threading.local()  # one time-major block and one fill tile per thread
-    walking = threading.Lock()
 
-    def walk(start: int) -> np.ndarray:
-        """Write the profits of replications ``start`` onwards into
+    def walk(start: int, stop: int) -> np.ndarray:
+        """Write the profits of replications ``start`` to ``stop`` into
         ``profits``; return their final-state counts."""
-        size = min(_CHUNK, reps - start)
+        size = stop - start
         bits = np.random.PCG64DXSM(seed)
-        bits.advance(start * horizon)
+        bits.advance(start)
         rng = np.random.Generator(bits)
-        if not hasattr(buffers, "u"):
-            rows = min(_CHUNK, reps)
-            buffers.u = np.empty((horizon, rows))
-            buffers.tile = np.empty((min(_TILE, rows), horizon))
-        u = buffers.u[:, :size]
-        for r in range(0, size, _TILE):
-            tile = rng.random(out=buffers.tile[: size - r])
-            u[:, r : r + len(tile)] = tile.T
-        profit = profits[start : start + size]
+        u = np.empty(size)
+        profit = profits[start:stop]
         states = np.zeros(size, dtype=np.int64)
-        with walking:
-            for t, ut in enumerate(u):
-                sale = np.flatnonzero(ut < thresholds[t, -1][states])
-                if sale.size:
-                    sold = states[sale]
-                    slot = (ut[sale] >= thresholds[t, :-1].take(sold, axis=1)).sum(axis=0)
-                    flat = sold * scenario.n_slots + slot
-                    profit[sale] += revenue[t].take(flat)
-                    states[sale] = lat.neighbours.take(flat)
-            profit -= costs[states]
+        for t in range(horizon):
+            rng.random(out=u)
+            bits.advance(reps - size)  # past the other blocks' draws of step t
+            sale = np.flatnonzero(u < thresholds[t, -1][states])
+            if sale.size:
+                sold = states[sale]
+                slot = (u[sale] >= thresholds[t, :-1].take(sold, axis=1)).sum(axis=0)
+                flat = sold * scenario.n_slots + slot
+                profit[sale] += revenue[t].take(flat)
+                states[sale] = lat.neighbours.take(flat)
+        profit -= costs[states]
         return np.bincount(states, minlength=lat.n_states)
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
 
+    blocks = min(reps, max(_WORKERS, -(-reps // _CHUNK)))
+    edges = [k * reps // blocks for k in range(blocks + 1)]
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for counts in pool.map(walk, range(0, reps, _CHUNK)):
+        for counts in pool.map(walk, edges[:-1], edges[1:]):
             histogram += counts
     mean = float(np.sum(profits) / reps)
     std_error = float(np.std(profits, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

@@ -271,19 +271,21 @@ def _slot_probabilities(scenario, prices, rate):
 def reference_simulation(scenario, policy, reps, seed, arrival_rate=None):
     """Profits and final-state histogram of a scalar walk, one replication at a time.
 
-    Replication i takes the next ``horizon`` uniforms of one PCG64DXSM stream
-    seeded with ``seed``, read in order from its start and never advanced. A
-    step sells when its draw is below the summed slot probabilities, to the
-    first slot whose running sum exceeds the draw.
+    The uniforms are the first ``horizon * reps`` of one PCG64DXSM stream
+    seeded with ``seed``, read in order from its start and never advanced,
+    as a ``(horizon, reps)`` array: step t of replication i takes entry
+    ``[t, i]``, draw ``t * reps + i``. A step sells when its draw is below the
+    summed slot probabilities, to the first slot whose running sum exceeds
+    the draw.
     """
     rate = scenario.arrival_rate if arrival_rate is None else arrival_rate
     lat = scenario.lattice
-    rng = np.random.Generator(np.random.PCG64DXSM(seed))
+    draws = np.random.Generator(np.random.PCG64DXSM(seed)).random((scenario.horizon, reps))
     profits = np.empty(reps)
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     for i in range(reps):
         state, profit = (0,) * scenario.n_slots, 0.0
-        for t, u in enumerate(rng.random(scenario.horizon).tolist()):
+        for t, u in enumerate(draws[:, i].tolist()):
             prices = policy.prices[t, lat.index(state)].tolist()
             running = list(itertools.accumulate(_slot_probabilities(scenario, prices, rate)))
             if u < running[-1]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_policy_scenario_guards(table1, table1_solution):
         sp.simulate(table1, policy, 0, seed=1)
 
 
-def test_seed_outside_philox_key_range_is_rejected(table1):
+def test_seed_outside_the_128_bit_range_is_rejected(table1):
     policy = sp.PricePolicy.all_closed(table1)
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match="seed must be an integer"):
@@ -224,15 +225,14 @@ def test_overflowing_logit_is_rejected(table1):
 
 def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):
     longer = dataclasses.replace(clamped_three_slot_scenario(), horizon=21)
-    # horizon 21: blocks open the stream with ``advance`` offsets (start * 21
-    # draws) that are odd for odd starts, unlike table1's multiples of 200
     cases = [(table1, table1_solution[1], 20_000), (longer, sp.solve_horizon(longer)[1], 10_001)]
     for scenario, policy, reps in cases:
         default = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
-        # tiles of 1 and 5 rows: every tile edge, and a partial last tile per block
-        for chunk, tile in ((7, sim._TILE), (4096, sim._TILE), (sim._CHUNK, 1), (4096, 5)):
+        # caps of 3,000 and 4,096 rows split both runs into uneven blocks
+        # (10,001 at 4,096 into 3,333 + 3,334 + 3,334); 7 rows make
+        # thousands of blocks at odd offsets
+        for chunk in (7, 3000, 4096):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
-            monkeypatch.setattr(sim, "_TILE", tile)
             other = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
             assert other.profits.tobytes() == default.profits.tobytes()
             assert np.array_equal(other.final_state_histogram, default.final_state_histogram)
@@ -243,8 +243,7 @@ def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatc
 
 def test_results_do_not_depend_on_worker_count(table1, table1_solution, monkeypatch):
     _, policy = table1_solution
-    monkeypatch.setattr(sim, "_CHUNK", 500)  # 13 blocks, the last one partial
-    monkeypatch.setattr(sim, "_TILE", 64)
+    monkeypatch.setattr(sim, "_CHUNK", 500)  # 13 blocks of 469 or 470 rows
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(sim, "_WORKERS", workers)
@@ -253,6 +252,19 @@ def test_results_do_not_depend_on_worker_count(table1, table1_solution, monkeypa
     assert one.profits.tobytes() == two.profits.tobytes()
     assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
     assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
+
+
+def test_simulation_memory_stays_small(table1, table1_solution):
+    # per replication the walk keeps one draw, state and profit, not a
+    # (horizon, rows) buffer of draws per block
+    _, policy = table1_solution
+    tracemalloc.start()
+    try:
+        sp.simulate(table1, policy, 200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monkeypatch):
@@ -272,11 +284,9 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
     for scenario, policy, rate, reps, seed in cases:
         profits, histogram = reference_simulation(scenario, policy, reps, seed, arrival_rate=rate)
         # small blocks put many blocks, at nonzero ``advance`` offsets, on both
-        # workers; 1- and 5-row tiles cross every tile edge and end blocks
-        # on a partial tile
-        for chunk, tile in ((sim._CHUNK, sim._TILE), (7, sim._TILE), (64, 1), (64, 5)):
+        # workers
+        for chunk in (sim._CHUNK, 7, 64):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
-            monkeypatch.setattr(sim, "_TILE", tile)
             result = sp.simulate(
                 scenario, policy, reps, seed=seed, arrival_rate=rate, keep_profits=True
             )

@@ -8,11 +8,11 @@ The sample mean cross-validates the solved value at the initial state. The
 sale probabilities come from the model's logit kernel, so an overflowing
 utility raises the same error here as in the solver.
 
-Replications run in near-equal blocks on two threads. The stream is
-time-major: at each booking step a block jumps its PCG64DXSM generator to its
-own draws of that step, fills one vector and walks the step, so it needs no
-draw buffer and no lock, and it writes its results at its replications'
-indices.
+Replications run in near-equal lanes on two threads. Each lane reads its own
+PCG64DXSM substream, one draw per drawing replication and step, so a
+replication whose slots are all at capacity (where nothing can sell) retires
+at the next 16-step checkpoint and stops drawing. A lane needs no draw buffer
+and no lock, and writes its results at its replications' indices.
 """
 
 from __future__ import annotations
@@ -28,16 +28,21 @@ import numpy as np
 from .dp import PricePolicy
 from .model import Scenario, _logit_weights, cost_values
 
-GENERATOR = "numpy.random.PCG64DXSM"
-# Most replications per block. A block holds one draw, state and profit per
-# replication and calls ``advance`` once per step, so wide blocks cost little
-# memory and spread the per-step numpy overhead over many rows. Every block
-# reads its own positions of one stream, so results do not depend on the
-# split. _WORKERS threads walk blocks at once. On a 2-core host the paper
-# example (200,000 replications) took 0.13 s in blocks of 50,000 rows, and
-# 0.21 s in blocks of 16,384 rows or on one thread (best of 7).
+GENERATOR = "numpy.random.PCG64DXSM/lanes"
+# Most replications per lane. A lane holds one draw, state and profit per
+# replication, so wide lanes cost little memory and spread the per-step numpy
+# overhead over many rows. The lane count depends on ``reps`` alone and each
+# lane reads its own substream, so results do not depend on _WORKERS, the
+# threads that walk lanes at once; they do depend on this cap. On a 2-core
+# host the paper example (200,000 replications) took 0.13-0.14 s in four
+# lanes of 50,000 rows on two threads, 0.21 s on one thread and 0.18 s in
+# lanes of 16,384 rows (best of 7).
 _CHUNK = 65_536
 _WORKERS = 2
+# Steps between the checks that retire full replications. A check compares
+# every drawing row's state and compacts the lane when some row is full;
+# run at every step it cost more than it saved on workloads that rarely fill.
+_RETIRE_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -109,20 +114,22 @@ def simulate(
 ) -> SimulationResult:
     """Estimate the expected booking-horizon profit of ``policy``.
 
-    Bit-reproducible for a fixed ``seed`` and ``reps``: at booking step t
-    (0-based), replication i consumes draw ``t * reps + i`` of the PCG64DXSM
-    stream seeded with ``seed`` (one 64-bit output per draw), so the path of
-    a replication depends on ``reps`` as well as on ``seed``. The
-    replications split into ``max(_WORKERS, ceil(reps / _CHUNK))`` near-equal
-    blocks, never more than ``reps``, which ``_WORKERS`` threads walk at
-    once. A block opens the stream at its first draw with ``advance``; at
-    each step it fills its draws into one vector, advances past the other
-    blocks' draws of that step and walks the step. Each block writes its
-    profits at its replications' indices and returns its final-state counts,
-    which are summed as integers, so results depend neither on the split nor
-    on which thread ran a block. A step tests every row's draw against its
-    state's sale probability; only the rows that sell look up their slot,
-    the number of cumulative thresholds at or below the draw.
+    Bit-reproducible for a fixed ``seed`` and ``reps``. The replications
+    split into ``min(reps, max(2, ceil(reps / _CHUNK)))`` near-equal
+    contiguous lanes. Lane k reads the PCG64DXSM stream seeded with ``seed``,
+    advanced by ``k * 2**64`` (one 64-bit output per draw); at each booking
+    step the lane's drawing replications take its next draws in index order.
+    At every 16th step (t > 0, counted from 0) the replications in the full
+    state, where every slot is at capacity, write their profit and stop
+    drawing; a lane with none left drawing stops. The full state absorbs
+    under every policy, so each replication's path has the same law as
+    without retirement. A replication's draws depend on ``reps`` and on the
+    lane cap as well as on ``seed``. ``_WORKERS`` threads walk the lanes;
+    each writes its profits at its replications' indices and returns its
+    final-state counts, which are summed as integers, so results do not
+    depend on which thread ran a lane. A step tests every drawing row's draw
+    against its state's sale probability; only the rows that sell look up
+    their slot, the number of cumulative thresholds at or below the draw.
     ``arrival_rate`` optionally overrides the scenario's rate (0.0 is
     allowed here, unlike in the solver). The mean uses index-ordered
     pairwise summation. ``ValueError`` is raised, before any allocation or
@@ -157,37 +164,53 @@ def simulate(
     del cum
 
     profits = np.zeros(reps)
+    full = lat.index(lat.capacities)  # absorbing: no slot can sell
 
-    def walk(start: int, stop: int) -> np.ndarray:
+    def walk(lane: int, start: int, stop: int) -> np.ndarray:
         """Write the profits of replications ``start`` to ``stop`` into
         ``profits``; return their final-state counts."""
-        size = stop - start
         bits = np.random.PCG64DXSM(seed)
-        bits.advance(start)
+        bits.advance(lane << 64)
         rng = np.random.Generator(bits)
-        u = np.empty(size)
         profit = profits[start:stop]
-        states = np.zeros(size, dtype=np.int64)
+        states = np.zeros(stop - start, dtype=np.int64)
+        u = np.empty(stop - start)
+        rows = None  # lane positions of the drawing rows, once some retire
         for t in range(horizon):
+            if t and t % _RETIRE_EVERY == 0:
+                done = states == full
+                if done.any():
+                    live = ~done
+                    if rows is None:
+                        profit[done] -= costs[full]
+                        rows = np.flatnonzero(live)
+                    else:
+                        profit[rows[done]] -= costs[full]
+                        rows = rows[live]
+                    states = states[live]
+                    u = u[: rows.size]
+                    if not rows.size:
+                        break
             rng.random(out=u)
-            bits.advance(reps - size)  # past the other blocks' draws of step t
             sale = np.flatnonzero(u < thresholds[t, -1][states])
             if sale.size:
                 sold = states[sale]
                 slot = (u[sale] >= thresholds[t, :-1].take(sold, axis=1)).sum(axis=0)
                 flat = sold * scenario.n_slots + slot
-                profit[sale] += revenue[t].take(flat)
+                profit[sale if rows is None else rows[sale]] += revenue[t].take(flat)
                 states[sale] = lat.neighbours.take(flat)
-        profit -= costs[states]
-        return np.bincount(states, minlength=lat.n_states)
+        profit[... if rows is None else rows] -= costs[states]
+        counts = np.bincount(states, minlength=lat.n_states)
+        counts[full] += stop - start - states.size
+        return counts
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
 
-    blocks = min(reps, max(_WORKERS, -(-reps // _CHUNK)))
-    edges = [k * reps // blocks for k in range(blocks + 1)]
+    lanes = min(reps, max(2, -(-reps // _CHUNK)))
+    edges = [k * reps // lanes for k in range(lanes + 1)]
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for counts in pool.map(walk, edges[:-1], edges[1:]):
+        for counts in pool.map(walk, range(lanes), edges[:-1], edges[1:]):
             histogram += counts
     mean = float(np.sum(profits) / reps)
     std_error = float(np.std(profits, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

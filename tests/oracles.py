@@ -10,6 +10,7 @@ walk and an exact policy evaluation instead of the vectorised simulator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -268,33 +269,51 @@ def _slot_probabilities(scenario, prices, rate):
     return [rate * w / denom for w in weights]
 
 
-def reference_simulation(scenario, policy, reps, seed, arrival_rate=None):
-    """Profits and final-state histogram of a scalar walk, one replication at a time.
+RETIRE_EVERY = 16
 
-    The uniforms are the first ``horizon * reps`` of one PCG64DXSM stream
-    seeded with ``seed``, read in order from its start and never advanced,
-    as a ``(horizon, reps)`` array: step t of replication i takes entry
-    ``[t, i]``, draw ``t * reps + i``. A step sells when its draw is below the
+
+def reference_simulation(scenario, policy, reps, seed, edges, arrival_rate=None):
+    """Profits and final-state histogram of a scalar walk, lane by lane.
+
+    Lane k holds replications ``edges[k]`` to ``edges[k + 1]`` and reads the
+    PCG64DXSM stream seeded with ``seed``, advanced by ``k * 2**64``, one
+    ``random()`` at a time. At each step the lane's drawing replications, in
+    index order, take its next draws. At every ``RETIRE_EVERY``-th step
+    (t > 0) a replication whose slots are all at capacity retires: it keeps
+    its profit and draws no more. A step sells when its draw is below the
     summed slot probabilities, to the first slot whose running sum exceeds
     the draw.
     """
     rate = scenario.arrival_rate if arrival_rate is None else arrival_rate
     lat = scenario.lattice
-    draws = np.random.Generator(np.random.PCG64DXSM(seed)).random((scenario.horizon, reps))
-    profits = np.empty(reps)
+    full = tuple(scenario.capacities)
+
+    @functools.lru_cache(maxsize=None)
+    def stage(t, state):
+        prices = policy.prices[t, lat.index(state)].tolist()
+        return prices, list(itertools.accumulate(_slot_probabilities(scenario, prices, rate)))
+
+    states = [(0,) * scenario.n_slots] * reps
+    profits = [0.0] * reps
+    for k, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        bits = np.random.PCG64DXSM(seed)
+        bits.advance(k * 2**64)
+        rng = np.random.Generator(bits)
+        drawing = list(range(start, stop))
+        for t in range(scenario.horizon):
+            if t > 0 and t % RETIRE_EVERY == 0:
+                drawing = [i for i in drawing if states[i] != full]
+            for i in drawing:
+                u = rng.random()
+                prices, running = stage(t, states[i])
+                if u < running[-1]:
+                    s = next(j for j, c in enumerate(running) if u < c)
+                    profits[i] += scenario.net_revenue + prices[s]
+                    states[i] = _bump(states[i], s + 1)
     histogram = np.zeros(lat.n_states, dtype=np.int64)
-    for i in range(reps):
-        state, profit = (0,) * scenario.n_slots, 0.0
-        for t, u in enumerate(draws[:, i].tolist()):
-            prices = policy.prices[t, lat.index(state)].tolist()
-            running = list(itertools.accumulate(_slot_probabilities(scenario, prices, rate)))
-            if u < running[-1]:
-                s = next(k for k, c in enumerate(running) if u < c)
-                profit += scenario.net_revenue + prices[s]
-                state = _bump(state, s + 1)
-        profits[i] = profit - sp.cost(scenario, state)
+    for state in states:
         histogram[lat.index(state)] += 1
-    return profits, histogram
+    return np.array([p - sp.cost(scenario, x) for p, x in zip(profits, states)]), histogram
 
 
 def exact_policy_value(scenario, policy, arrival_rate=None):

@@ -26,7 +26,7 @@ def test_all_closed_policy_is_deterministic(table1):
     assert result.std_error == 0.0
     assert result.final_state_histogram[0] == 500
     assert result.final_state_histogram.sum() == 500
-    assert result.generator == "numpy.random.PCG64DXSM"
+    assert result.generator == "numpy.random.PCG64DXSM/lanes"
 
 
 def test_seeded_reproducibility(table1, table1_solution):
@@ -223,35 +223,82 @@ def test_overflowing_logit_is_rejected(table1):
                 sp.simulate(big, policy, 1000, seed=1)
 
 
-def test_results_do_not_depend_on_block_size(table1, table1_solution, monkeypatch):
+def _lane_edges(reps, chunk):
+    """Edges of the near-equal lanes that ``simulate`` splits ``reps`` into."""
+    lanes = min(reps, max(2, -(-reps // chunk)))
+    return [k * reps // lanes for k in range(lanes + 1)]
+
+
+def test_lanes_match_reference_walk_at_any_cap(monkeypatch):
     longer = dataclasses.replace(clamped_three_slot_scenario(), horizon=21)
-    cases = [(table1, table1_solution[1], 20_000), (longer, sp.solve_horizon(longer)[1], 10_001)]
-    for scenario, policy, reps in cases:
-        default = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
-        # caps of 3,000 and 4,096 rows split both runs into uneven blocks
-        # (10,001 at 4,096 into 3,333 + 3,334 + 3,334); 7 rows make
-        # thousands of blocks at odd offsets
-        for chunk in (7, 3000, 4096):
-            monkeypatch.setattr(sim, "_CHUNK", chunk)
-            other = sp.simulate(scenario, policy, reps, seed=12, keep_profits=True)
-            assert other.profits.tobytes() == default.profits.tobytes()
-            assert np.array_equal(other.final_state_histogram, default.final_state_histogram)
-            assert other.mean_profit == default.mean_profit
-            assert other.std_error == default.std_error
-        monkeypatch.undo()
+    _, policy = sp.solve_horizon(longer)
+    # at rate 0.9 over 400 rows are full by step 16 and retire there; caps
+    # of 3,000 and 4,096 rows make uneven lanes (10,001 at 4,096 into 3,333 +
+    # 3,334 + 3,334), and 7 rows make 1,429 lanes
+    for chunk in (7, 3000, 4096):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        profits, histogram = reference_simulation(
+            longer, policy, 10_001, 12, _lane_edges(10_001, chunk), arrival_rate=0.9
+        )
+        result = sp.simulate(longer, policy, 10_001, seed=12, arrival_rate=0.9, keep_profits=True)
+        assert np.array_equal(result.final_state_histogram, histogram)
+        assert np.max(np.abs(result.profits - profits)) <= 1e-12
+
+
+def test_lane_that_fills_stops_walking(monkeypatch):
+    # one slot of capacity 1 sells with probability above 0.94 per step at
+    # any price in the box, so every replication is full by step 16 and every
+    # lane retires whole there; prices drawn per step make profits differ
+    scenario = sp.Scenario(
+        arrival_rate=0.99,
+        horizon=200,
+        price_min=0.0,
+        price_max=2.0,
+        net_revenue=1.0,
+        beta_const=5.0,
+        beta_price=-1.0,
+        slot_betas=(0.0,),
+        capacities=(1,),
+        cost=sp.AffineCost(2.0, (1.0,)),
+    )
+    closed = sp.PricePolicy.all_closed(scenario)
+    prices = closed.prices.copy()
+    prices[:, scenario.lattice.index((0,)), 0] = np.random.default_rng(4).uniform(0.0, 2.0, 200)
+    policy = sp.PricePolicy(prices, closed.values, closed.interior, closed.fingerprint)
+    fills = []
+
+    class Counting(np.random.Generator):
+        def random(self, *args, out=None, **kwargs):
+            fills.append(out.size)
+            return super().random(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    result = sp.simulate(scenario, policy, 5_000, seed=3, keep_profits=True)
+    monkeypatch.undo()
+    # two lanes of 2,500 rows, 16 fills each, then none
+    assert fills == [2_500] * 32
+    full = scenario.lattice.index((1,))
+    assert result.final_state_histogram[full] == 5_000
+    profits, histogram = reference_simulation(scenario, policy, 5_000, 3, _lane_edges(5_000, sim._CHUNK))
+    assert np.array_equal(result.final_state_histogram, histogram)
+    assert np.max(np.abs(result.profits - profits)) <= 1e-12
+    exact, _ = exact_policy_value(scenario, policy)
+    assert abs(result.mean_profit - exact[0, 0]) <= 3.0 * result.std_error
 
 
 def test_results_do_not_depend_on_worker_count(table1, table1_solution, monkeypatch):
     _, policy = table1_solution
-    monkeypatch.setattr(sim, "_CHUNK", 500)  # 13 blocks of 469 or 470 rows
-    runs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(sim, "_WORKERS", workers)
-        runs.append(sp.simulate(table1, policy, 6_100, seed=3, keep_profits=True))
-    one, two = runs
-    assert one.profits.tobytes() == two.profits.tobytes()
-    assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
-    assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
+    # the default cap makes 2 lanes of 3,050 rows; 500 makes 13 of 469 or 470
+    for chunk in (sim._CHUNK, 500):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sim, "_WORKERS", workers)
+            runs.append(sp.simulate(table1, policy, 6_100, seed=3, keep_profits=True))
+        one, two = runs
+        assert one.profits.tobytes() == two.profits.tobytes()
+        assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
+        assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
 
 
 def test_simulation_memory_stays_small(table1, table1_solution):
@@ -282,10 +329,13 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
         (table1, optimal, 0.9, 300, 2**128 - 1),  # the top of the seed range
     ]
     for scenario, policy, rate, reps, seed in cases:
-        profits, histogram = reference_simulation(scenario, policy, reps, seed, arrival_rate=rate)
-        # small blocks put many blocks, at nonzero ``advance`` offsets, on both
-        # workers
+        # small caps put many lanes, each on its own advanced stream, on both
+        # workers; horizon 200 crosses 12 retirement checkpoints
         for chunk in (sim._CHUNK, 7, 64):
+            edges = _lane_edges(reps, chunk)
+            profits, histogram = reference_simulation(
+                scenario, policy, reps, seed, edges, arrival_rate=rate
+            )
             monkeypatch.setattr(sim, "_CHUNK", chunk)
             result = sp.simulate(
                 scenario, policy, reps, seed=seed, arrival_rate=rate, keep_profits=True

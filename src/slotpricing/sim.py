@@ -11,8 +11,11 @@ utility raises the same error here as in the solver.
 Replications run in near-equal lanes on two threads. Each lane reads its own
 PCG64DXSM substream, one draw per drawing replication and step, so a
 replication whose slots are all at capacity (where nothing can sell) retires
-at the next 16-step checkpoint and stops drawing. A lane needs no draw buffer
-and no lock, and writes its results at its replications' indices.
+at the next 16-step checkpoint and stops drawing. A lane needs no lock: it
+walks into its own profit buffer and returns its final-state counts and
+profit moments, which are combined in lane order. So memory is bounded by
+the lanes in flight, not by the replication count, unless the profits of
+every replication are kept.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ GENERATOR = "numpy.random.PCG64DXSM/lanes"
 # threads that walk lanes at once; they do depend on this cap. On a 2-core
 # host the paper example (200,000 replications) took 0.13-0.14 s in four
 # lanes of 50,000 rows on two threads, 0.21 s on one thread and 0.18 s in
-# lanes of 16,384 rows (best of 7).
+# lanes of 16,384 rows (best of 7). The policy table is built in blocks of
+# at most this many entries, so its temporaries are no larger than a lane's.
 _CHUNK = 65_536
 _WORKERS = 2
 # Steps between the checks that retire full replications. A check compares
@@ -53,7 +57,9 @@ class SimulationResult:
     by sqrt(replications) (0.0 with a single replication). The histogram
     counts the final lattice state of every replication and sums to
     ``replications``. ``generator`` records the PRNG so the run can be
-    replayed from ``seed`` and ``replications``.
+    replayed from ``seed`` and ``replications``. ``profits`` holds each
+    replication's profit in index order when the run was asked to keep them,
+    else None; the other fields do not depend on whether it was.
     """
 
     replications: int
@@ -65,15 +71,15 @@ class SimulationResult:
     profits: Optional[np.ndarray] = None
 
 
-def _policy_tables(
-    scenario: Scenario, policy: PricePolicy, arrival_rate: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative sale thresholds and revenue per (step, state, slot).
+def _policy_tables(scenario: Scenario, policy: PricePolicy, arrival_rate: float) -> np.ndarray:
+    """Cumulative sale thresholds per (step, slot, state).
 
-    ``cum[t - 1, ix, j]`` is the probability that the step's uniform draw
-    falls on some slot <= j + 1; a draw at or above the last column means no
-    sale. ``revenue`` holds net revenue plus the offered price (0 for closed
-    slots, which have zero threshold mass and are never selected).
+    ``table[t - 1, j, ix]`` is the probability that the step's uniform draw
+    falls on some slot <= j + 1; ``table[t - 1, -1, ix]`` is the state's sale
+    probability, and a draw at or above it means no sale. Closed slots add
+    no mass, so they are never selected. The table is filled in blocks of
+    steps of at most ``_CHUNK`` (step, state, slot) entries (one step when a
+    step has more), so the logit temporaries are the size of one block.
     """
     prices = policy.prices
     if not (
@@ -84,13 +90,19 @@ def _policy_tables(
     open_mask = ~np.isnan(prices)
     if np.any(open_mask & (scenario.lattice.neighbours < 0)):
         raise ValueError("policy offers a slot that is at capacity")
-    cum, total = _logit_weights(scenario, prices, open_mask)
-    cum *= arrival_rate
-    total += 1.0
-    cum /= total[..., np.newaxis]
-    np.cumsum(cum, axis=2, out=cum)
-    revenue = np.add(scenario.net_revenue, prices, out=np.zeros_like(prices), where=open_mask)
-    return cum, revenue
+    table = np.empty((scenario.horizon, scenario.n_slots, scenario.lattice.n_states))
+    steps = max(1, _CHUNK // (scenario.n_slots * scenario.lattice.n_states))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(0, scenario.horizon, steps):
+            block = slice(t, t + steps)
+            cum, total = _logit_weights(
+                scenario, prices[block], open_mask[block], errstate_held=True
+            )
+            cum *= arrival_rate
+            total += 1.0
+            cum /= total[..., np.newaxis]
+            np.cumsum(cum, axis=2, out=table[block].transpose(0, 2, 1))
+    return table
 
 
 def _integer(name: str, value) -> int:
@@ -124,19 +136,24 @@ def simulate(
     drawing; a lane with none left drawing stops. The full state absorbs
     under every policy, so each replication's path has the same law as
     without retirement. A replication's draws depend on ``reps`` and on the
-    lane cap as well as on ``seed``. ``_WORKERS`` threads walk the lanes;
-    each writes its profits at its replications' indices and returns its
-    final-state counts, which are summed as integers, so results do not
-    depend on which thread ran a lane. A step tests every drawing row's draw
-    against its state's sale probability; only the rows that sell look up
-    their slot, the number of cumulative thresholds at or below the draw.
+    lane cap as well as on ``seed``. ``_WORKERS`` threads walk the lanes. A
+    lane walks into a profit buffer: a view of the kept profits with
+    ``keep_profits``, else an array of its own, freed when it returns. It
+    returns its final-state counts, its profit sum and its sum of squared
+    deviations about its own mean. The counts are summed as integers and the
+    moments combined in lane order by the pairwise update of Chan, Golub &
+    LeVeque, so the mean, standard error and histogram depend neither on the
+    thread that ran a lane nor on ``keep_profits``, and memory grows with
+    ``reps`` only when the profits are kept. A step tests every drawing
+    row's draw against its state's sale probability; only the rows that
+    sell look up their slot, the number of cumulative thresholds at or below
+    the draw, and add the offered price plus the net revenue.
     ``arrival_rate`` optionally overrides the scenario's rate (0.0 is
-    allowed here, unlike in the solver). The mean uses index-ordered
-    pairwise summation. ``ValueError`` is raised, before any allocation or
-    thread, when ``reps`` or ``seed`` is not an integer (bools included),
-    when ``arrival_rate`` is not a real number (str, bytes and bools
-    included), when ``reps`` is below 1, ``seed`` lies
-    outside ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; and when
+    allowed here, unlike in the solver). ``ValueError`` is raised, before
+    any allocation or thread, when ``reps`` or ``seed`` is not an integer
+    (bools included), when ``arrival_rate`` is not a real number (str, bytes
+    and bools included), when ``reps`` is below 1, ``seed`` lies outside
+    ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; and when
     a logit weight or a state's sum of weights overflows the float range.
     """
     reps, seed = _integer("reps", reps), _integer("seed", seed)
@@ -159,22 +176,21 @@ def simulate(
     lat = scenario.lattice
     horizon = scenario.horizon
     costs = cost_values(scenario)
-    cum, revenue = _policy_tables(scenario, policy, lam)
-    thresholds = np.ascontiguousarray(cum.transpose(0, 2, 1))  # [t, -1]: sale probability
-    del cum
-
-    profits = np.zeros(reps)
+    thresholds = _policy_tables(scenario, policy, lam)  # [t, -1]: sale probability
+    prices = policy.prices
+    profits = np.zeros(reps) if keep_profits else None
     full = lat.index(lat.capacities)  # absorbing: no slot can sell
 
-    def walk(lane: int, start: int, stop: int) -> np.ndarray:
-        """Write the profits of replications ``start`` to ``stop`` into
-        ``profits``; return their final-state counts."""
+    def walk(lane: int, start: int, stop: int) -> tuple[np.ndarray, float, float]:
+        """Walk replications ``start`` to ``stop``; return their final-state
+        counts, their profit sum and their profits' sum of squared deviations
+        about their own mean."""
         bits = np.random.PCG64DXSM(seed)
         bits.advance(lane << 64)
         rng = np.random.Generator(bits)
-        profit = profits[start:stop]
+        profit = np.zeros(stop - start) if profits is None else profits[start:stop]
         states = np.zeros(stop - start, dtype=np.int64)
-        u = np.empty(stop - start)
+        u = draws = np.empty(stop - start)
         rows = None  # lane positions of the drawing rows, once some retire
         for t in range(horizon):
             if t and t % _RETIRE_EVERY == 0:
@@ -188,32 +204,52 @@ def simulate(
                         profit[rows[done]] -= costs[full]
                         rows = rows[live]
                     states = states[live]
-                    u = u[: rows.size]
+                    u = draws[: rows.size]
                     if not rows.size:
                         break
             rng.random(out=u)
-            sale = np.flatnonzero(u < thresholds[t, -1][states])
+            sale = np.flatnonzero(u < thresholds[t, -1].take(states))
             if sale.size:
-                sold = states[sale]
-                slot = (u[sale] >= thresholds[t, :-1].take(sold, axis=1)).sum(axis=0)
-                flat = sold * scenario.n_slots + slot
-                profit[sale if rows is None else rows[sale]] += revenue[t].take(flat)
+                # each temporary is freed once spent and none outlives its
+                # step, so a lane peaks at about 33 bytes a row
+                flat = states.take(sale)  # the sold states, then their (state, slot) pairs
+                slot = (u.take(sale) >= thresholds[t, :-1].take(flat, axis=1)).sum(axis=0)
+                flat *= scenario.n_slots
+                flat += slot
+                del slot
+                gain = prices[t].take(flat)
+                gain += scenario.net_revenue
+                profit[sale if rows is None else rows.take(sale)] += gain
+                del gain
                 states[sale] = lat.neighbours.take(flat)
+                del flat
+            del sale
         profit[... if rows is None else rows] -= costs[states]
         counts = np.bincount(states, minlength=lat.n_states)
         counts[full] += stop - start - states.size
-        return counts
+        total = float(np.sum(profit))
+        deviation = np.subtract(profit, total / profit.size, out=draws)  # draws are spent
+        return counts, total, float(np.sum(np.square(deviation, out=deviation)))
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
 
     lanes = min(reps, max(2, -(-reps // _CHUNK)))
     edges = [k * reps // lanes for k in range(lanes + 1)]
     histogram = np.zeros(lat.n_states, dtype=np.int64)
+    total = squares = 0.0  # profit sum and squared deviations of the first ``seen`` rows
+    seen = 0
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for counts in pool.map(walk, range(lanes), edges[:-1], edges[1:]):
+        lane_runs = pool.map(walk, range(lanes), edges[:-1], edges[1:])
+        for size, (counts, lane_total, lane_squares) in zip(np.diff(edges).tolist(), lane_runs):
             histogram += counts
-    mean = float(np.sum(profits) / reps)
-    std_error = float(np.std(profits, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+            if seen:  # the pairwise update of Chan, Golub & LeVeque (1979)
+                delta = lane_total / size - total / seen
+                lane_squares += delta * delta * seen * size / (seen + size)
+            total += lane_total
+            squares += lane_squares
+            seen += size
+    mean = total / reps
+    std_error = math.sqrt(squares / (reps - 1)) / math.sqrt(reps) if reps > 1 else 0.0
     histogram.flags.writeable = False
     return SimulationResult(
         replications=reps,
@@ -222,6 +258,6 @@ def simulate(
         seed=seed,
         generator=GENERATOR,
         final_state_histogram=histogram,
-        profits=profits if keep_profits else None,
+        profits=profits,
     )
 

@@ -143,8 +143,8 @@ def test_reps_and_seed_must_be_integers(table1, monkeypatch):
 
 def test_step_frequencies_match_choice_model(table1, table1_solution):
     _, policy = table1_solution
-    cum, _ = _policy_tables(table1, policy, table1.arrival_rate)
-    thresholds = cum[0, 0]  # first booking step, empty state
+    table = _policy_tables(table1, policy, table1.arrival_rate)
+    thresholds = table[0, :, 0]  # first booking step, empty state
     prices = tuple(policy.prices[0, 0])
     expected = sp.arrival_probabilities(table1, prices).per_slot
     n = 1_000_000
@@ -312,6 +312,48 @@ def test_simulation_memory_stays_small(table1, table1_solution):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_statistics_do_not_depend_on_keeping_profits(table1, table1_solution, monkeypatch):
+    _, policy = table1_solution
+    # lane moments are combined in lane order, so kept and lane-local profit
+    # buffers give the same bits: 2 lanes at the default cap, 3 of 333 or 334
+    # rows at 500 and 143 of 7 at 7
+    for chunk in (sim._CHUNK, 500, 7):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sim, "_WORKERS", workers)
+            for keep in (True, False):
+                runs.append(sp.simulate(table1, policy, 1_001, seed=6, keep_profits=keep))
+        profits = runs[0].profits
+        assert all(run.profits is None for run in runs[1::2])
+        for run in runs:
+            assert run.mean_profit == runs[0].mean_profit
+            assert run.std_error == runs[0].std_error
+            assert run.final_state_histogram.tobytes() == runs[0].final_state_histogram.tobytes()
+        assert math.isclose(runs[0].mean_profit, np.mean(profits), rel_tol=1e-12)
+        std_error = np.std(profits, ddof=1) / math.sqrt(profits.size)
+        assert math.isclose(runs[0].std_error, std_error, rel_tol=1e-12)
+
+
+def test_simulation_memory_does_not_grow_with_reps(table1, monkeypatch):
+    # without kept profits a run holds the lanes in flight, not an array per
+    # replication; ten times the replications only widen the lanes from
+    # 50,000 rows to 64,516. One thread, so the peak does not depend on how
+    # two threads' steps happen to interleave.
+    short = dataclasses.replace(table1, horizon=12)
+    _, policy = sp.solve_horizon(short)
+    monkeypatch.setattr(sim, "_WORKERS", 1)
+    peaks = []
+    for reps in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            sp.simulate(short, policy, reps, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monkeypatch):

@@ -9,7 +9,6 @@ Carlo validation of the resulting policy.
 
 from .model import (
     AffineCost,
-    ArrivalProbabilities,
     ChoiceProbabilities,
     CostSpec,
     Scenario,
@@ -17,21 +16,18 @@ from .model import (
     State,
     StateLattice,
     TableCost,
-    arrival_probabilities,
     choice_probabilities,
     cost,
     cost_values,
     enumerate_states,
-    feasible_slots,
     load_scenario,
     marginal_profit_violations,
 )
-from .lambertw import lambert_w0, lambert_w0_derivative
+from .lambertw import lambert_w0
 from .pricing import (
     OpportunityCosts,
     StageSolution,
     markup_root,
-    prices_from_probabilities,
     revenue_of_probabilities,
     revenue_probability_hessian,
     slot_weight,
@@ -68,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineCost",
-    "ArrivalProbabilities",
     "ChoiceProbabilities",
     "ConcavityReport",
     "CostSpec",
@@ -84,7 +79,6 @@ __all__ = [
     "StateLattice",
     "TableCost",
     "ValueFunction",
-    "arrival_probabilities",
     "arrival_rate_bound",
     "bellman_apply",
     "bellman_residual",
@@ -95,17 +89,14 @@ __all__ = [
     "cost_values",
     "enumerate_enclosings",
     "enumerate_states",
-    "feasible_slots",
     "fixed_point",
     "increasing_opportunity_cost_violations",
     "lambert_w0",
-    "lambert_w0_derivative",
     "load_scenario",
     "marginal_profit_violations",
     "markup_root",
     "opportunity_costs",
     "policy_from_values",
-    "prices_from_probabilities",
     "revenue_of_probabilities",
     "revenue_probability_hessian",
     "simulate",

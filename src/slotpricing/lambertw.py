@@ -40,14 +40,3 @@ def lambert_w0(y: float) -> float:
     w -= f * w / (1.0 + w + f / (2.0 + 2.0 * w))
     return w
 
-
-def lambert_w0_derivative(y: float) -> float:
-    """d/dy of the principal branch, ``W(y) / (y * (1 + W(y)))``, for y > 0."""
-    if isinstance(y, bool) or not isinstance(y, (int, float)):
-        raise ValueError("lambert_w0_derivative expects a real number")
-    y = float(y)
-    if not math.isfinite(y) or y <= 0.0:
-        raise ValueError(f"lambert_w0_derivative requires a finite argument > 0, got {y}")
-    w = lambert_w0(y)
-    # Dividing first keeps y * (1 + w) from overflowing near the top of the range.
-    return w / y / (1.0 + w)

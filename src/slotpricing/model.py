@@ -82,9 +82,6 @@ class StateLattice:
         self.strides: State = tuple(strides)
         self.n_states: int = n
 
-    def __len__(self) -> int:
-        return self.n_states
-
     def contains(self, state: Sequence[int]) -> bool:
         return len(state) == len(self.capacities) and all(
             0 <= x <= cap for x, cap in zip(state, self.capacities)
@@ -133,11 +130,6 @@ class StateLattice:
         arr = np.where(open_, ix + np.asarray(self.strides, dtype=np.int64), -1)
         arr.flags.writeable = False
         return arr
-
-    def feasible_slots(self, state: Sequence[int]) -> tuple[int, ...]:
-        """1-based ids of slots that can still take one more order."""
-        state = self.check(state)
-        return tuple(s + 1 for s, (x, cap) in enumerate(zip(state, self.capacities)) if x < cap)
 
 
 @dataclass(frozen=True)
@@ -350,11 +342,6 @@ def enumerate_states(scenario: Scenario) -> list[State]:
     return scenario.lattice.states()
 
 
-def feasible_slots(scenario: Scenario, state: Sequence[int]) -> set[int]:
-    """The slots (1-based) that can accept one more order at ``state``."""
-    return set(scenario.lattice.feasible_slots(state))
-
-
 def cost(scenario: Scenario, state: Sequence[int]) -> float:
     """Delivery cost of fulfilling the orders in ``state``.
 
@@ -406,14 +393,6 @@ class ChoiceProbabilities:
     ``per_slot`` has one entry per slot (0.0 exactly for closed slots) and
     sums with ``no_purchase`` to 1. ``no_purchase`` is always positive.
     """
-
-    per_slot: tuple[float, ...]
-    no_purchase: float
-
-
-@dataclass(frozen=True)
-class ArrivalProbabilities:
-    """Per-step probabilities that a customer arrives and picks each slot."""
 
     per_slot: tuple[float, ...]
     no_purchase: float
@@ -477,12 +456,3 @@ def choice_probabilities(scenario: Scenario, prices: PriceVector) -> ChoiceProba
         no_purchase=float(1.0 / denom),
     )
 
-
-def arrival_probabilities(scenario: Scenario, prices: PriceVector) -> ArrivalProbabilities:
-    """Probability that a customer arrives and chooses each slot (or nothing)."""
-    choice = choice_probabilities(scenario, prices)
-    lam = scenario.arrival_rate
-    return ArrivalProbabilities(
-        per_slot=tuple(lam * p for p in choice.per_slot),
-        no_purchase=lam * choice.no_purchase,
-    )

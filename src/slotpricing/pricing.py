@@ -5,12 +5,14 @@ one-step markup
 
     surplus(d) = sum_s p_s(d) * (net_revenue + d_s - opportunity_cost_s)
 
-over the admissible price box, where ``p_s`` are the arrival-choice
-probabilities of the open slots. Without the box constraint the optimum has a
-closed form through the Lambert W function. With the box, every slot still
-charges its opportunity cost minus ``net_revenue`` plus one common markup, now
-clamped to the box; the markup has a closed form once the clamped slots are
-known, and those follow from where it falls among the slots' breakpoints.
+over the open slots and the admissible price box, where ``p_s`` are the
+arrival-choice probabilities of the open slots. Without the box constraint
+the optimum has a closed form through the Lambert W function. With the box,
+every open slot still charges its opportunity cost minus ``net_revenue``
+plus one common markup, now clamped to the box; the markup has a closed form
+once the clamped slots are known, and those follow from where it falls among
+the slots' breakpoints. Which slots to close is settled by their margins
+(see ``solve_stage``).
 
 One solver prices a whole layer of states at once, in numpy arrays over the
 states and slots; the backward induction builds the layer's fixed geometry
@@ -19,9 +21,10 @@ state. Lambert W stays the scalar ``lambert_w0``. The rows are settled in
 order. First the interior rows, found without W and priced by the closed
 form, one W call each. Then the capped rows, where every offered slot
 charges ``price_max``: the markup's first-order condition at the cap decides
-them, and they are priced in closed form with no W call. Then the breakpoint
-walk over the rest, with one W call per row that has a free slot. Every
-logit weight, in the solver and in the scalar formulas, comes from the
+them, and they are priced and closed in closed form with no W call. Then the
+breakpoint walk over the rest, with one W call per walk that has a free
+slot; a row where closing pays is walked again over its nested closures.
+Every logit weight, in the solver and in the scalar formulas, comes from the
 model's logit kernel; the Lambert W arguments pass their ``-1`` as its log
 offset.
 """
@@ -35,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .lambertw import lambert_w0
-from .model import _OVERFLOW, ChoiceProbabilities, PriceVector, Scenario
+from .model import _OVERFLOW, PriceVector, Scenario
 from .model import _logit_weights, _offered_prices
 
 
@@ -159,10 +162,10 @@ def stage_objective(
 
     ``sum_s p_s(d) * (net_revenue + d_s + v_next(state + 1_s) - v_next(state))
     + v_next(state)`` with the sum over open slots. Open slots must be
-    feasible and priced inside the box; with every slot closed the result is
-    ``v_next(state)``. A feasible slot may be closed (``None``), an action
-    that ``solve_stage`` never takes, so such a vector can exceed the stage
-    value where the box clamps prices at ``price_max`` (see ``solve_stage``).
+    feasible and priced inside the box; a feasible slot may be closed
+    (``None``), and with every slot closed the result is ``v_next(state)``.
+    ``solve_stage``'s value is at least this at every such vector, up to its
+    tie allowance.
     """
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]
@@ -202,6 +205,78 @@ def _layer(scenario: Scenario, rows: np.ndarray) -> _Layer:
     return _Layer(rows, live, nbr[live], offered[live], np.full(nbr.shape, np.nan))
 
 
+def _walk(scenario: Scenario, ac: np.ndarray, oc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoint walk: optimal prices (meaningless off ``oc``) and surplus
+    rate of rows with open slots ``oc`` and margins ``ac + d`` at prices d.
+    Runs inside the caller's ``np.errstate``; one W per row with a free slot."""
+    lo, hi, bd, n = scenario.price_min, scenario.price_max, scenario.beta_price, scenario.n_slots
+    # The root's interval starts at left = max{b : g(b) >= 0} over the
+    # unsorted breakpoints lo + a_j (slot j leaves lo) and hi + a_j (slot j
+    # reaches hi), +inf on closed slots. Slot j sits at hi iff hi + a_j <=
+    # left, and is free iff lo + a_j <= left and it is not at hi.
+    ends = np.where(oc, ac, np.inf)
+    breaks = np.concatenate([lo + ends, hi + ends], axis=1)
+    d = np.minimum(np.maximum(breaks[:, :, np.newaxis] - ac[:, np.newaxis], lo), hi)
+    u, u_sum = _logit_weights(scenario, d, oc[:, np.newaxis], errstate_held=True)
+    s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u_sum)  # surplus/lam
+    if not np.isfinite(s).all():
+        raise ValueError(_OVERFLOW)
+    left = breaks.max(axis=1, where=s - 1.0 / bd >= breaks, initial=-np.inf)
+    passed = breaks <= left[:, np.newaxis]  # never a closed slot's +inf
+    at_hi = passed[:, n:]
+    free = passed[:, :n] ^ at_hi  # lo + a_j <= hi + a_j
+    fixed = np.where(at_hi, hi, lo)
+    # For this clamped set, with K = 1 + sum u_k and A = sum u_k (a_k + d_k)
+    # over the clamped slots and y the free slots' weights at markup A/K, the
+    # root is m = A/K - (1 + W(y/K)) / bd. g is zero there, so the surplus
+    # rate is m + 1/bd = A/K - W/bd.
+    u, u_sum = _logit_weights(scenario, fixed, oc & ~free, errstate_held=True)
+    k_sum = 1.0 + u_sum
+    shift = (u * (ac + fixed)).sum(axis=1) / k_sum
+    d_shift = shift[:, np.newaxis] - ac
+    y = _logit_weights(scenario, d_shift, free, -1.0, errstate_held=True)[1] / k_sum
+    # y is 0 when no slot is free, and W(0) = 0: only free rows call W.
+    w = np.array([lambert_w0(x) if x else 0.0 for x in y.tolist()])
+    markup = shift - (1.0 + w) / bd
+    return np.minimum(np.maximum(markup[:, np.newaxis] - ac, lo), hi), shift - w / bd
+
+
+def _below(margin: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Margins below their surplus rate by more than ``1e-12 * (1 + |rate|)``."""
+    return margin < rate - 1e-12 * (1.0 + np.abs(rate))
+
+
+def _close_capped(u, margin, open_, rate):
+    """The open slots and surplus rate of capped rows after closing, round by
+    round, the slots whose margin lies below the rate; ``u`` are the weights
+    at ``price_max``. The rate only rises, so the rows stay capped."""
+    while True:
+        shut = open_ & _below(margin, rate[:, np.newaxis])
+        if not shut.any():
+            return open_, rate
+        open_ = open_ & ~shut
+        u = np.where(open_, u, 0.0)
+        rate = (u * margin).sum(axis=1) / (1.0 + u.sum(axis=1))
+
+
+def _best_closure(scenario, ac, oc, prices, rate):
+    """The prices, NaN where closed, and surplus rate of walked rows after
+    trying their nested closures: candidate k closes the offered slots whose
+    ``a_j`` is at most the k-th least, k = 1 .. n_slots; all closed is worth
+    0. A row keeps its all-open ``prices`` and ``rate`` unless its best
+    candidate beats the rate by more than the tie allowance."""
+    rows, n = oc.shape
+    kth = np.sort(np.where(oc, ac, np.inf), axis=1)[:, :, np.newaxis]  # tied slots close together
+    keep = (oc[:, np.newaxis] & (ac[:, np.newaxis] > kth)).reshape(rows * n, n)
+    some = keep.any(axis=1)
+    closures, rates = np.full(keep.shape, np.nan), np.zeros(rows * n)
+    walked, rates[some] = _walk(scenario, np.repeat(ac, n, axis=0)[some], keep[some])
+    closures[some] = np.where(keep[some], walked, np.nan)
+    best = rates.reshape(rows, n).argmax(axis=1) + np.arange(0, rows * n, n)
+    better = _below(rate, rates[best])
+    return np.where(better[:, np.newaxis], closures[best], prices), np.where(better, rates[best], rate)
+
+
 def _layer_solve(
     scenario: Scenario, v_next: np.ndarray, layer: _Layer
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,16 +284,17 @@ def _layer_solve(
 
     ``v_next`` holds the finite next-step values of every state. Row i of the
     result belongs to state ``layer.rows[i]``: its stage value, its prices
-    (NaN on full slots) and whether the closed-form prices fell inside the
-    box. A state with every slot full keeps ``v_next`` and is not interior.
-    The rows are settled in three passes: the interior rows by the closed
-    form, one Lambert W each; then the capped rows, where every offered slot
-    charges ``price_max``, in closed form with no Lambert W; then the
-    breakpoint walk on the rest, with one Lambert W per row that has a price
-    strictly inside the box.
+    (NaN on full and closed slots) and whether the closed-form prices fell
+    inside the box. A state with every slot full keeps ``v_next`` and is not
+    interior. The rows are settled in three passes: the interior rows by the
+    closed form, one Lambert W each; then the capped rows, where every
+    offered slot charges ``price_max``, in closed form with no Lambert W; then
+    the breakpoint walk on the rest, with one Lambert W per walk that has a
+    price strictly inside the box. Capped and walked rows close slots where
+    that pays (see ``solve_stage``).
     """
     lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
-    lo, hi, n = scenario.price_min, scenario.price_max, scenario.n_slots
+    lo, hi = scenario.price_min, scenario.price_max
     live, o_live = layer.live, layer.o_live
     values = v_next[layer.rows]
     # net_revenue - z
@@ -238,8 +314,8 @@ def _layer_solve(
         # of closed slots; the slot-major copy keeps their reductions over
         # each row's few slots fast.
         ends = np.asfortranarray(np.where(o_live, a_live, np.nan))
-        a_max = np.fmax.reduce(ends, axis=1)
-        c_hi = -bd * np.fmin.reduce(ends, axis=1) - (bd * hi + 1.0)
+        a_min, a_max = np.fmin.reduce(ends, axis=1), np.fmax.reduce(ends, axis=1)
+        c_hi = -bd * a_min - (bd * hi + 1.0)
         c_lo = -bd * a_max - (bd * lo + 1.0)
         inside = (c_hi >= 0.0) & (y <= c_hi * np.exp(c_hi)) & (y >= c_lo * np.exp(c_lo))
         w = np.zeros(len(live))
@@ -253,49 +329,32 @@ def _layer_solve(
             # positive left of it and negative right of it. Every slot sits
             # at hi iff m >= hi + max_j a_j, that is iff g >= 0 there, where
             # all prices are hi and surplus/lam is s_hi. Then the clamped-set
-            # formulas below have no free slot and W = 0, and the gain is
-            # lam * s_hi. An s_hi that overflows to inf fails the final
+            # formulas of the walk have no free slot and W = 0, and the gain
+            # is lam * s_hi. An s_hi that overflows to inf fails the final
             # finiteness check; a NaN one is not capped, and the walk raises.
+            # A capped row closes a slot only if its least margin a_j + hi does.
             ac, oc = a_live[out], o_live[out]
             u, u_sum = _logit_weights(scenario, hi, oc, errstate_held=True)
             s_hi = (u * (ac + hi)).sum(axis=1) / (1.0 + u_sum)
             capped = s_hi - 1.0 / bd >= hi + a_max[out]
-            prices[out[capped]] = hi
-            gain[out[capped]] = lam * s_hi[capped]
+            top, s_top = out[capped], s_hi[capped]
+            prices[top] = hi
+            near = a_min[top] + hi < s_top - 1e-12  # the tie allowance is at least 1e-12
+            if near.any():
+                u, ac, oc = u[capped][near], ac[capped][near], oc[capped][near]
+                open_, s_top[near] = _close_capped(u, ac + hi, oc, s_top[near])
+                prices[top[near]] = np.where(open_, hi, np.nan)
+            gain[top] = lam * s_top
             out = out[~capped]
         if len(out):
-            # Otherwise the root's interval starts at left = max{b : g(b) >=
-            # 0} over the unsorted breakpoints lo + a_j (slot j leaves lo) and
-            # hi + a_j (slot j reaches hi), +inf on full slots. Slot j sits at
-            # hi iff hi + a_j <= left, and is free iff lo + a_j <= left and it
-            # is not at hi.
-            ac, oc = a_live[out], o_live[out]
-            ends = np.where(oc, ac, np.inf)
-            breaks = np.concatenate([lo + ends, hi + ends], axis=1)
-            d = np.minimum(np.maximum(breaks[:, :, np.newaxis] - ac[:, np.newaxis], lo), hi)
-            u, u_sum = _logit_weights(scenario, d, oc[:, np.newaxis], errstate_held=True)
-            s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u_sum)  # surplus/lam
-            if not np.isfinite(s).all():
-                raise ValueError(_OVERFLOW)
-            left = breaks.max(axis=1, where=s - 1.0 / bd >= breaks, initial=-np.inf)
-            passed = breaks <= left[:, np.newaxis]  # never a full slot's +inf
-            at_hi = passed[:, n:]
-            free = passed[:, :n] ^ at_hi  # lo + a_j <= hi + a_j
-            fixed = np.where(at_hi, hi, lo)
-            # For this clamped set, with K = 1 + sum u_k and A = sum u_k (a_k +
-            # d_k) over the clamped slots and y the free slots' weights at
-            # markup A/K, the root is m = A/K - (1 + W(y/K)) / bd. g is zero
-            # there, so the gain is lam * (m + 1/bd) = lam * (A/K - W/bd).
-            u, u_sum = _logit_weights(scenario, fixed, oc & ~free, errstate_held=True)
-            k_sum = 1.0 + u_sum
-            shift = (u * (ac + fixed)).sum(axis=1) / k_sum
-            d_shift = shift[:, np.newaxis] - ac
-            y = _logit_weights(scenario, d_shift, free, -1.0, errstate_held=True)[1] / k_sum
-            # y is 0 when no slot is free, and W(0) = 0: only free rows call W.
-            w_out = np.array([lambert_w0(x) if x else 0.0 for x in y.tolist()])
-            markup = shift - (1.0 + w_out) / bd
-            prices[out] = np.minimum(np.maximum(markup[:, np.newaxis] - ac, lo), hi)
-            gain[out] = lam * (shift - w_out / bd)
+            prices[out], rate = _walk(scenario, a_live[out], o_live[out])
+            shut = _below(a_min[out] + hi, rate)
+            if shut.any():
+                rows = out[shut]
+                prices[rows], rate[shut] = _best_closure(
+                    scenario, a_live[rows], o_live[rows], prices[rows], rate[shut]
+                )
+            gain[out] = lam * rate
         values[live] += gain
     if not np.isfinite(values).all():
         raise ValueError(_OVERFLOW)
@@ -310,16 +369,21 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
     """Optimal stage prices and value for one state against next-step values.
 
     The state is solved as a one-row layer. With no feasible slot everything
-    is closed and the value is ``v_next(state)``. Otherwise every feasible
-    slot is offered at a price in the box: at the closed-form prices when
-    those fall inside it, else at the unique constrained optimum, where every
-    slot charges its opportunity cost minus ``net_revenue`` plus one common
-    markup, clamped to the box. The optimum is taken over these all-open
-    vectors only. Closing a feasible slot can earn more: the boxed3
-    benchmark scenario of seed 11 prices state (5, 0, 1) at t=60 at 2.0, the
-    box's upper edge, on all three slots; closing slot 3, whose opportunity
-    cost is 2.0, and keeping slots 1 and 2 at 2.0 gives a ``stage_objective``
-    1.81e-3 above the stage value.
+    is closed and the value is ``v_next(state)``. Otherwise the optimum runs
+    over the open sets of feasible slots and the in-box prices of the open
+    ones. Within an open set every slot charges its opportunity cost minus
+    ``net_revenue`` plus one common markup, clamped to the box. Under
+    multinomial logit, opening slot j raises the surplus rate R (surplus per
+    arrival) iff its margin ``net_revenue + d_j - z_j`` exceeds R (Talluri
+    and van Ryzin, 2004). Only a slot at ``price_max`` can fall below R, so
+    the best set closes the k feasible slots of least ``net_revenue - z_j``,
+    for some k. A capped stage (every slot at the cap) closes the slots
+    below R and repeats with the raised R; a walked stage with a slot at the
+    cap below R compares the closures k = 1 .. n, all closed worth 0. Ties
+    stay open: a margin must lie below R by more than ``1e-12 * (1 + |R|)``,
+    and a closure's rate R' must top R by more than ``1e-12 * (1 + |R'|)``,
+    so the stationary hyperplane, where margins at the cap equal R, closes
+    nothing. Closed feasible slots are ``None``; such a stage is not interior.
     """
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]
@@ -333,28 +397,6 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
         value=float(values[0]),
         interior=bool(interior[0]),
     )
-
-
-def prices_from_probabilities(
-    scenario: Scenario, choice: ChoiceProbabilities
-) -> tuple[Optional[float], ...]:
-    """Invert the logit choice model: recover prices from slot probabilities.
-
-    ``d_s = (ln(pi_s / pi_0) - beta_const - slot_beta_s) / beta_price`` for
-    slots with positive probability; zero-probability slots map to ``None``.
-    """
-    if choice.no_purchase <= 0.0:
-        raise ValueError("no-purchase probability must be positive")
-    out: list[Optional[float]] = []
-    for s, p in enumerate(choice.per_slot, start=1):
-        if p <= 0.0:
-            out.append(None)
-            continue
-        out.append(
-            (math.log(p / choice.no_purchase) - scenario.beta_const - scenario.slot_betas[s - 1])
-            / scenario.beta_price
-        )
-    return tuple(out)
 
 
 def revenue_of_probabilities(

@@ -153,8 +153,9 @@ def simulate(
     any allocation or thread, when ``reps`` or ``seed`` is not an integer
     (bools included), when ``arrival_rate`` is not a real number (str, bytes
     and bools included), when ``reps`` is below 1, ``seed`` lies outside
-    ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; and when
-    a logit weight or a state's sum of weights overflows the float range.
+    ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; when a logit
+    weight or a state's sum of weights overflows the float range; and, after
+    the walk, when the mean or the standard error of the profit does.
     """
     reps, seed = _integer("reps", reps), _integer("seed", seed)
     if reps < 1:
@@ -227,9 +228,10 @@ def simulate(
         profit[... if rows is None else rows] -= costs[states]
         counts = np.bincount(states, minlength=lat.n_states)
         counts[full] += stop - start - states.size
-        total = float(np.sum(profit))
-        deviation = np.subtract(profit, total / profit.size, out=draws)  # draws are spent
-        return counts, total, float(np.sum(np.square(deviation, out=deviation)))
+        with np.errstate(over="ignore", invalid="ignore"):  # simulate raises on a non-finite result
+            total = float(np.sum(profit))
+            deviation = np.subtract(profit, total / profit.size, out=draws)  # draws are spent
+            return counts, total, float(np.sum(np.square(deviation, out=deviation)))
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
 
@@ -250,6 +252,8 @@ def simulate(
             seen += size
     mean = total / reps
     std_error = math.sqrt(squares / (reps - 1)) / math.sqrt(reps) if reps > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValueError("the profit's mean or standard error exceeds the float range")
     histogram.flags.writeable = False
     return SimulationResult(
         replications=reps,

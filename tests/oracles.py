@@ -69,6 +69,11 @@ def fd_hessian(fn, x, h=1e-5):
     return out
 
 
+def _feasible(scenario, state):
+    """1-based ids of the slots below capacity at ``state``, from the capacities."""
+    return [s for s, (x, cap) in enumerate(zip(state, scenario.capacities), start=1) if x < cap]
+
+
 def _surplus_grid(scenario, slots, gamma, grids):
     """Expected markup on a price grid, one axis per offered slot."""
     parts_u, parts_a = [], []
@@ -88,7 +93,7 @@ def grid_stage_value(scenario, state, v_next, step=1e-3):
     """Stage value by dense grid search over the price box, refined once."""
     lat = scenario.lattice
     ix = lat.index(state)
-    slots = lat.feasible_slots(state)
+    slots = _feasible(scenario, state)
     if not slots:
         return float(v_next[ix])
     assert len(slots) <= 2, "grid oracle is built for at most two open slots"
@@ -104,42 +109,115 @@ def grid_stage_value(scenario, state, v_next, step=1e-3):
     return float(v_next[ix]) + float(surf.max())
 
 
-def bisect_stage_markup(scenario, state, v_next):
+def bisect_stage_markup(scenario, state, v_next, slots=None):
     """Stage optimum by bisection on the common markup, any number of slots.
 
-    Every feasible slot is priced ``clip(z_s - net_revenue + m, price_min,
-    price_max)``, where m is the root of ``g(m) = surplus / arrival_rate -
-    1 / beta_price - m``. g is positive at the lower bracket and negative at
-    the upper one (``|surplus / arrival_rate|`` is at most ``bound - 1 -
-    |1 / beta_price|``), and the bisection evaluates g directly, with no
-    breakpoints and no Lambert W. Returns the prices of the feasible slots and
-    the stage value.
+    Every open slot, by default every feasible one, is priced ``clip(z_s -
+    net_revenue + m, price_min, price_max)``, where m is the root of ``g(m)
+    = surplus / arrival_rate - 1 / beta_price - m``. g is positive at the
+    lower bracket and negative at the upper one (``|surplus / arrival_rate|``
+    is at most ``bound - 1 - |1 / beta_price|``), and the bisection
+    evaluates g directly, with no breakpoints and no Lambert W. Returns the
+    prices of the open slots and the stage value; with no open slot, the
+    value is ``v_next(state)``.
     """
     lat = scenario.lattice
     ix = lat.index(state)
-    slots = lat.feasible_slots(state)
-    z = np.array([v_next[ix] - v_next[ix + lat.strides[s - 1]] for s in slots], dtype=float)
-    c = np.array([scenario.beta_const + scenario.slot_betas[s - 1] for s in slots])
-    r, bd = scenario.net_revenue, scenario.beta_price
+    slots = _feasible(scenario, state) if slots is None else list(slots)
+    if not slots:
+        return (), float(v_next[ix])
+    z = [float(v_next[ix] - v_next[ix + lat.strides[s - 1]]) for s in slots]
+    c = [scenario.beta_const + scenario.slot_betas[s - 1] for s in slots]
+    r, bd, lam = scenario.net_revenue, scenario.beta_price, scenario.arrival_rate
     lo, hi = scenario.price_min, scenario.price_max
 
     def prices(m):
-        return np.clip(z - r + m, lo, hi)
+        return [min(max(zs - r + m, lo), hi) for zs in z]
 
     def surplus(d):
-        u = np.exp(c + bd * d)
-        return scenario.arrival_rate * float(np.sum(u * (r + d - z))) / (1.0 + float(np.sum(u)))
+        u = [math.exp(cs + bd * ds) for cs, ds in zip(c, d)]
+        return lam * sum(us * (r + ds - zs) for us, ds, zs in zip(u, d, z)) / (1.0 + sum(u))
 
-    bound = max(abs(lo), abs(hi)) + float(np.max(np.abs(r - z))) + abs(1.0 / bd) + 1.0
+    bound = max(abs(lo), abs(hi)) + max(abs(r - zs) for zs in z) + abs(1.0 / bd) + 1.0
     left, right = -bound, bound
     for _ in range(200):
         mid = 0.5 * (left + right)
-        if surplus(prices(mid)) / scenario.arrival_rate - 1.0 / bd - mid >= 0.0:
+        if mid in (left, right):  # adjacent floats: no later step moves either end
+            break
+        if surplus(prices(mid)) / lam - 1.0 / bd - mid >= 0.0:
             left = mid
         else:
             right = mid
     d = prices(0.5 * (left + right))
-    return tuple(float(x) for x in d), float(v_next[ix]) + surplus(d)
+    return tuple(d), float(v_next[ix]) + surplus(d)
+
+
+def best_open_set(scenario, state, v_next):
+    """The stage optimum over every open set of the feasible slots.
+
+    Each of the 2^n subsets of the n feasible slots is priced by
+    ``bisect_stage_markup``; the empty one is worth ``v_next(state)``.
+    Returns ``(value, prices)`` for every subset, best first (ties in
+    subset order, larger sets first), with ``prices`` one entry per slot,
+    ``None`` where closed.
+    """
+    feasible = _feasible(scenario, state)
+    solved = []
+    for k in range(len(feasible), -1, -1):
+        for subset in itertools.combinations(feasible, k):
+            offered, value = bisect_stage_markup(scenario, state, v_next, subset)
+            prices = [None] * scenario.n_slots
+            for s, d in zip(subset, offered):
+                prices[s - 1] = d
+            solved.append((value, tuple(prices)))
+    return sorted(solved, key=lambda pair: -pair[0])
+
+
+def stage_w_calls(scenario, state, v_next, interior):
+    """Lambert W calls the layer solver owes one stage, or None near a tie.
+
+    An interior stage makes one. Otherwise the solver walks the all-open set,
+    unless every slot sits at ``price_max`` there (a capped stage). When that
+    walk leaves a slot at ``price_max`` whose margin ``a_j + price_max``, with
+    ``a_j = net_revenue - z_j``, lies below the surplus rate, it also walks
+    each nested closure, for k = 1 .. n: the feasible slots whose ``a_j`` is
+    above the k-th least stay open, if any. Every walked set whose optimum
+    has a price strictly inside the box makes one call. The sets are priced
+    by ``bisect_stage_markup``; a price or margin within 1e-9 of the
+    decision gives None.
+    """
+    if interior:
+        return 1
+    lat = scenario.lattice
+    ix = lat.index(state)
+    lo, hi = scenario.price_min, scenario.price_max
+    feasible = _feasible(scenario, state)
+    a = {s: scenario.net_revenue - float(v_next[ix] - v_next[ix + lat.strides[s - 1]]) for s in feasible}
+
+    def walk(subset):
+        """(capped, calls, value) of one open set, or None if a price is near an edge."""
+        prices, value = bisect_stage_markup(scenario, state, v_next, subset)
+        if any(0.0 < min(d - lo, hi - d) <= 1e-9 for d in prices):
+            return None
+        return all(d == hi for d in prices), int(any(lo < d < hi for d in prices)), value
+
+    first = walk(feasible)
+    if first is None:
+        return None
+    capped, calls, value = first
+    if capped:
+        return 0
+    gap = (value - float(v_next[ix])) / scenario.arrival_rate - (min(a.values()) + hi)
+    if abs(gap) <= 1e-9:
+        return None
+    if gap > 0.0:
+        for kth in sorted(a.values()):
+            kept = [s for s in feasible if a[s] > kth]
+            nested = walk(kept) if kept else (True, 0, None)  # all closed: no walk
+            if nested is None:
+                return None
+            calls += nested[1]
+    return calls
 
 
 def lp_concavity_margin(scenario, values) -> float:
@@ -204,7 +282,7 @@ def brute_marginal_violations(scenario):
     ceiling = scenario.price_max + scenario.net_revenue
     out = []
     for x in sp.enumerate_states(scenario):
-        for s in sorted(sp.feasible_slots(scenario, x)):
+        for s in _feasible(scenario, x):
             if sp.cost(scenario, _bump(x, s)) - sp.cost(scenario, x) > ceiling:
                 out.append((x, s))
     return out
@@ -213,7 +291,7 @@ def brute_marginal_violations(scenario):
 def _cross_pairs(scenario):
     """Every state with an ordered pair of distinct feasible slots, in order."""
     for x in sp.enumerate_states(scenario):
-        slots = sorted(sp.feasible_slots(scenario, x))
+        slots = _feasible(scenario, x)
         for s in slots:
             for s2 in slots:
                 if s2 != s:

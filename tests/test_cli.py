@@ -410,6 +410,25 @@ def test_overflowing_lambda_bound_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_overflowing_profit_moments_exits_one(tmp_path, capsys):
+    # a price box up to 1e300 against beta_price -1e-300 is valid and solves,
+    # with prices near 1e300, but the squared deviations of the profits
+    # overflow the float range
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc.update(horizon=5, slots=[{"beta": 1.0, "capacity": 2}], price_max=1e300, beta_price=-1e-300)
+    doc["cost"] = {"type": "affine", "intercept": 2.0, "coefficients": [1.0]}
+    path = tmp_path / "huge_prices.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--reps", "1000", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "std_error" not in out
+    lines = err.splitlines()
+    assert sum(line.startswith("error:") for line in lines) == 1
+    assert "float range" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
     doc = json.loads(EXAMPLE_SCENARIO)
     doc["beta_const"] = 10**400  # json.loads keeps it an int, too large for float()

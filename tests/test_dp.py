@@ -8,10 +8,11 @@ import slotpricing as sp
 from slotpricing.cli import EXAMPLE_SCENARIO
 
 from oracles import (
-    bisect_stage_markup,
+    best_open_set,
     clamped_three_slot_scenario,
     grid_stage_value,
     random_table_cost_scenario,
+    stage_w_calls,
 )
 
 
@@ -80,6 +81,7 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
     scenarios = [dataclasses.replace(clamped_three_slot_scenario(), horizon=2)]
     scenarios += [random_table_cost_scenario(rng) for _ in range(10)]
     partly_full = mixed_layers = fully_clamped = capped_and_walked = 0
+    closed_at_cap = closed_below_cap = rewalked = checked = skipped = 0
     for scenario in scenarios:
         values, policy = sp.solve_horizon(scenario)
         lat = scenario.lattice
@@ -92,47 +94,66 @@ def test_layer_matches_bisection_oracle_in_every_state(monkeypatch):
             calls.clear()
             applied = sp.bellman_apply(scenario, v_next)
             assert np.array_equal(applied, values.layer(t))
+            layer_calls = len(calls)
             interior = policy.interior[t - 1]
             clamped = offered & ~interior
             prices = policy.prices[t - 1]
-            # W is called once per interior stage and once per clamped stage
-            # with a price strictly inside the box; a fully clamped one needs none
             free = ((lo < prices) & (prices < hi)).any(axis=1)
-            assert len(calls) == interior.sum() + (clamped & free).sum()
             fully_clamped += int(np.sum(clamped & ~free))
             mixed_layers += bool(interior.any() and clamped.any())
-            # capped rows price every offered slot at hi in closed form; the
+            # capped rows price every open slot at hi in closed form; the
             # breakpoint walk prices the other clamped rows, some slot below hi
             at_hi = np.all(np.isnan(prices) | (prices == hi), axis=1)
             capped_and_walked += bool((clamped & at_hi).any() and (clamped & ~at_hi).any())
-            assert np.array_equal(np.isnan(prices), ~feasible)
+            # full slots are NaN; a feasible slot is NaN only if it is closed
+            assert np.all(np.isnan(prices[~feasible]))
+            closed = (np.isnan(prices) & feasible).any(axis=1)
+            assert not (closed & interior).any()
+            closed_at_cap += int(np.sum(closed & at_hi))
+            closed_below_cap += int(np.sum(closed & ~at_hi))
+            stage_calls = 0
             for ix, state in enumerate(lat.states()):
                 if not offered[ix]:
                     assert applied[ix] == v_next[ix] and not interior[ix]
                     continue
                 calls.clear()
                 alone = sp.solve_stage(scenario, state, v_next)
-                assert len(calls) == (1 if interior[ix] else int(free[ix]))
+                stage_calls += len(calls)
+                owed = stage_w_calls(scenario, state, v_next, interior[ix])
+                if owed is not None:
+                    assert len(calls) == owed
+                    rewalked += owed > int(interior[ix] or free[ix])
                 assert alone.value == applied[ix] and alone.interior == interior[ix]
                 assert alone.prices == tuple(None if math.isnan(d) else d for d in prices[ix])
-                oracle_prices, oracle_value = bisect_stage_markup(scenario, state, v_next)
-                assert applied[ix] == pytest.approx(oracle_value, abs=1e-10)
-                assert np.max(np.abs(prices[ix, feasible[ix]] - oracle_prices)) <= 1e-10
+                (best, best_prices), *rest = best_open_set(scenario, state, v_next)
+                assert applied[ix] == pytest.approx(best, abs=1e-10)
+                if rest and best - rest[0][0] <= 1e-9:
+                    skipped += 1
+                    continue
+                checked += 1
+                for d, oracle in zip(alone.prices, best_prices):
+                    assert (d is None) == (oracle is None)
+                    assert d is None or abs(d - oracle) <= 1e-10
+            assert layer_calls == stage_calls
     assert partly_full > 0
     assert mixed_layers > 0
     assert fully_clamped > 0
     assert capped_and_walked > 0
+    assert closed_at_cap > 0 and closed_below_cap > 0 and rewalked > 0
+    assert skipped <= checked // 20, (skipped, checked)
 
 
 def test_capped_stages_are_the_non_interior_stages_at_the_cap():
     # A stage is capped when g(m) = surplus/lam - 1/bd - m is still >= 0 at
     # the markup m = price_max + max_j (net_revenue - z_j) where the last slot
-    # reaches the cap; then every offered slot charges price_max. g comes from
-    # stage_surplus at the cap; stages within 1e-9 of the tie are skipped.
+    # reaches the cap; then every offered slot charges price_max. The stage's
+    # prices are optimal for the slots it keeps open, so g is taken over
+    # those, from stage_surplus at the cap; stages within 1e-9 of the tie are
+    # skipped, and so are stages that close every slot.
     rng = np.random.default_rng(9090)
     scenarios = [sp.load_scenario(EXAMPLE_SCENARIO)]
     scenarios += [random_table_cost_scenario(rng, horizon=4) for _ in range(20)]
-    checked = skipped = capped = 0
+    checked = skipped = capped = closing = 0
     for scenario in scenarios:
         values, policy = sp.solve_horizon(scenario)
         lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
@@ -141,8 +162,15 @@ def test_capped_stages_are_the_non_interior_stages_at_the_cap():
             v_next = values.layer(t + 1)
             for ix, state in enumerate(scenario.lattice.states()):
                 opp = sp.opportunity_costs(scenario, v_next, state)
-                if not opp.slots:
+                offered = policy.prices[t - 1, ix, np.asarray(opp.slots, dtype=int) - 1]
+                kept = ~np.isnan(offered)
+                closing += bool(opp.slots) and not kept.all()
+                if not kept.any():
                     continue
+                opp = sp.OpportunityCosts(
+                    tuple(np.asarray(opp.slots)[kept].tolist()),
+                    tuple(np.asarray(opp.values)[kept].tolist()),
+                )
                 s_hi = sp.stage_surplus(scenario, opp, [hi] * len(opp.slots)) / lam
                 g = s_hi - 1.0 / bd - (hi + r - min(opp.values))
                 if abs(g) <= 1e-9:
@@ -150,10 +178,10 @@ def test_capped_stages_are_the_non_interior_stages_at_the_cap():
                     continue
                 checked += 1
                 capped += bool(g > 0.0)
-                offered = policy.prices[t - 1, ix, np.asarray(opp.slots) - 1]
-                at_cap = not policy.interior[t - 1, ix] and bool(np.all(offered == hi))
+                at_cap = not policy.interior[t - 1, ix] and bool(np.all(offered[kept] == hi))
                 assert at_cap == (g > 0.0), (t, state)
     assert 0 < capped < checked, (capped, checked)
+    assert closing > 0
     assert skipped <= checked // 100, f"skipped {skipped} of {checked + skipped} stages"
 
 

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from slotpricing import lambert_w0, lambert_w0_derivative
+from slotpricing import lambert_w0
 
 from oracles import lambert_bisect
 
@@ -59,31 +59,6 @@ def test_domain_errors():
     for bad in (-1.0, -1e-300, math.inf, math.nan):
         with pytest.raises(ValueError):
             lambert_w0(bad)
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            lambert_w0_derivative(bad)
     with pytest.raises(ValueError):
         lambert_w0("1.0")
 
-
-def test_derivative_anchor_values():
-    assert lambert_w0_derivative(math.e) == pytest.approx(1.0 / (2.0 * math.e), abs=1e-14)
-    w1 = lambert_w0(1.0)
-    assert lambert_w0_derivative(1.0) == pytest.approx(w1 / (1.0 + w1), abs=1e-14)
-    # slope tends to 1 at the origin
-    assert lambert_w0_derivative(1e-8) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_derivative_at_top_of_float_range():
-    # y * (1 + w) overflows here. Since w / y = exp(-w), W'(y) = exp(-w - log1p(w)).
-    for y in (1e306, 1e307, sys.float_info.max):
-        w = lambert_w0(y)
-        assert lambert_w0_derivative(y) == pytest.approx(math.exp(-w - math.log1p(w)), rel=1e-12)
-
-
-def test_derivative_matches_finite_differences():
-    for y in np.logspace(-4, 4, 25):
-        y = float(y)
-        h = 1e-6 * y
-        fd = (lambert_w0(y + h) - lambert_w0(y - h)) / (2.0 * h)
-        assert lambert_w0_derivative(y) == pytest.approx(fd, rel=1e-6)

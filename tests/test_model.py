@@ -102,12 +102,6 @@ def test_state_indexing(table1):
         lat.index((5, 0))
 
 
-def test_feasible_slots(table1):
-    assert sp.feasible_slots(table1, (0, 0)) == {1, 2}
-    assert sp.feasible_slots(table1, (4, 4)) == set()
-    assert sp.feasible_slots(table1, (4, 0)) == {2}
-
-
 def test_cost_evaluation(table1):
     assert sp.cost(table1, (0, 0)) == 2.0
     assert sp.cost(table1, (4, 4)) == 14.0
@@ -154,17 +148,6 @@ def test_choice_probabilities_price_box(table1):
         sp.choice_probabilities(table1, (1.0,))
     with pytest.raises(ValueError, match="slot 2 price nan"):
         sp.choice_probabilities(table1, (1.0, math.nan))
-
-
-def test_arrival_probabilities(table1):
-    arr = sp.arrival_probabilities(table1, (2.0, 2.0))
-    assert arr.per_slot[0] == pytest.approx(0.234155, abs=5e-7)
-    closed = sp.arrival_probabilities(table1, (None, None))
-    assert closed.per_slot == (0.0, 0.0)
-    # at zero prices the slot-1 utility exponent is beta_const + beta_1 = 2
-    at_zero = sp.arrival_probabilities(table1, (0.0, 0.0))
-    e2 = math.exp(2.0)
-    assert at_zero.per_slot[0] == pytest.approx(0.5 * e2 / (e2 + 2.0), abs=1e-12)
 
 
 def test_probabilities_sum_to_one(table1):

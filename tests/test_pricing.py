@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,12 @@ import slotpricing as sp
 from slotpricing import OpportunityCosts
 
 from oracles import (
-    bisect_stage_markup,
+    best_open_set,
     fd_gradient,
     fd_hessian,
     grid_stage_value,
     lambert_bisect,
+    stage_w_calls,
 )
 
 
@@ -193,7 +195,6 @@ _LOGIT_ENTRY_POINTS = {
     "stage_surplus": lambda s, d: sp.stage_surplus(s, _ZERO_COSTS, (d, d)),
     "stage_objective": lambda s, d: sp.stage_objective(s, (0, 0), (d, d), sp.terminal_values(s)),
     "choice_probabilities": lambda s, d: sp.choice_probabilities(s, (d, d)),
-    "arrival_probabilities": lambda s, d: sp.arrival_probabilities(s, (d, d)),
     "unconstrained_stage_gain": lambda s, d: sp.unconstrained_stage_gain(s, _ZERO_COSTS),
     "markup_root": lambda s, d: sp.markup_root(s, _ZERO_COSTS),
     "unconstrained_prices": lambda s, d: sp.unconstrained_prices(s, _ZERO_COSTS),
@@ -324,35 +325,50 @@ def test_solve_stage_constrained_up_to_four_slots(monkeypatch):
     kernel = sp.pricing.lambert_w0
     monkeypatch.setattr(sp.pricing, "lambert_w0", lambda y: calls.append(y) or kernel(y))
     rng = np.random.default_rng(5151)
-    mixed = fully_clamped = 0
+    mixed = fully_clamped = closing = ties = 0
     for _ in range(150):
         scenario, v_next = _random_stage(rng)
         state = (0,) * scenario.n_slots
         calls.clear()
         sol = sp.solve_stage(scenario, state, v_next)
-        prices, value = bisect_stage_markup(scenario, state, v_next)
-        assert sol.value == pytest.approx(value, abs=1e-10)
-        assert max(abs(a - b) for a, b in zip(sol.prices, prices)) <= 1e-10
-        at_bound = [d in (scenario.price_min, scenario.price_max) for d in sol.prices]
+        ties += not _assert_matches_best_open_set(scenario, state, v_next, sol)
+        offered = [d for d in sol.prices if d is not None]
+        closing += len(offered) < scenario.n_slots
+        at_bound = [d in (scenario.price_min, scenario.price_max) for d in offered]
         mixed += any(at_bound) and not all(at_bound)
-        # one W call if interior, else one if some price is strictly inside the box
-        assert len(calls) == (1 if sol.interior else int(not all(at_bound)))
+        owed = stage_w_calls(scenario, state, v_next, sol.interior)
+        assert owed is None or len(calls) == owed
         fully_clamped += not sol.interior and all(at_bound)
         for _ in range(200):
-            probe = tuple(rng.uniform(scenario.price_min, scenario.price_max, scenario.n_slots))
+            probe = rng.uniform(scenario.price_min, scenario.price_max, scenario.n_slots)
+            shut = rng.random(scenario.n_slots) < 0.25
+            probe = tuple(None if c else float(d) for d, c in zip(probe, shut))
             assert sol.value >= sp.stage_objective(scenario, state, probe, v_next) - 1e-10
     assert mixed >= 30
     assert fully_clamped > 0
+    assert closing > 0
+    assert ties <= 3
+
+
+def _assert_matches_best_open_set(scenario, state, v_next, sol):
+    """The stage value equals the oracle's best over every open set to 1e-10;
+    unless the runner-up is within 1e-9 of it, so do the prices and which
+    slots are closed. Returns False for such a near tie, else True."""
+    (value, prices), *rest = best_open_set(scenario, state, v_next)
+    assert sol.value == pytest.approx(value, abs=1e-10)
+    if rest and value - rest[0][0] <= 1e-9:
+        return False
+    for d, oracle in zip(sol.prices, prices):
+        assert (d is None) == (oracle is None)
+        assert d is None or abs(d - oracle) <= 1e-10
+    return True
 
 
 def _assert_stage_matches_oracle_and_layer(scenario, state, v_next):
-    """solve_stage agrees with the bisection oracle and, bit for bit, with its
-    row of the whole-lattice layer; returns the stage solution."""
+    """solve_stage agrees with the oracle's best open set and, bit for bit,
+    with its row of the whole-lattice layer; returns the stage solution."""
     sol = sp.solve_stage(scenario, state, v_next)
-    prices, value = bisect_stage_markup(scenario, state, v_next)
-    assert sol.value == pytest.approx(value, abs=1e-10)
-    offered = [d for d in sol.prices if d is not None]
-    assert max(abs(a - b) for a, b in zip(offered, prices)) <= 1e-10
+    _assert_matches_best_open_set(scenario, state, v_next, sol)
     assert sol.value == sp.bellman_apply(scenario, v_next)[scenario.lattice.index(state)]
     return sol
 
@@ -376,11 +392,12 @@ def test_solve_stage_interior_test_beyond_the_float_range(table1):
             else:
                 assert offered == [lo] * len(offered)
     # Opportunity costs of 1000 underflow every weight, so y is 0 and c e^c
-    # is -0.0; W(0) = 0 would put the closed-form prices near 1000.
+    # is -0.0; W(0) = 0 would put the closed-form prices near 1000. Every
+    # margin is then near -1000, so the stage closes both slots.
     v = _affine_values(table1, (1000.0, 1000.0))
     sol = _assert_stage_matches_oracle_and_layer(table1, (0, 0), v)
     assert not sol.interior
-    assert sol.prices == (table1.price_max, table1.price_max)
+    assert sol.prices == (None, None) and sol.value == v[0]
 
 
 def test_solve_stage_breakpoint_tie_between_lo_and_hi():
@@ -411,8 +428,9 @@ def test_solve_stage_breakpoint_tie_between_lo_and_hi():
     for beta_const in [*np.linspace(-3.0, 6.0, 19).tolist(), on_tie]:
         scenario, v_next = stage(beta_const)
         sol = _assert_stage_matches_oracle_and_layer(scenario, (0, 0), v_next)
-        sides.add((sol.prices[0] == 0.0, sol.prices[1] == 2.0))
-    assert sides == {(True, False), (False, True), (True, True)}
+        sides.add((sol.prices[0] == 0.0, "closed" if sol.prices[1] is None else sol.prices[1] == 2.0))
+    # once the surplus rate tops slot 2's margin at the cap, 1, slot 2 closes
+    assert sides == {(True, False), (False, True), (True, True), (False, "closed")}
 
 
 def test_solve_stage_all_slots_share_one_opportunity_cost(table1):
@@ -426,6 +444,71 @@ def test_solve_stage_all_slots_share_one_opportunity_cost(table1):
                 _assert_stage_matches_oracle_and_layer(table1, state, v_next)
 
 
+def _boxed3(slot_betas):
+    """Three slots of capacity 6 under a price box [0, 2], horizon 60."""
+    return sp.Scenario(
+        arrival_rate=0.5,
+        horizon=60,
+        price_min=0.0,
+        price_max=2.0,
+        net_revenue=1.0,
+        beta_const=1.0,
+        beta_price=-1.0,
+        slot_betas=slot_betas,
+        capacities=(6, 6, 6),
+        cost=sp.AffineCost(intercept=2.0, coefficients=(1.0, 1.5, 2.0)),
+    )
+
+
+# slot betas of two seeds where all-open pricing lost to a closed slot
+_BOXED3_SEED_11 = (0.966474483724474, -0.031292083099748444, -0.9457151728282932)
+_BOXED3_SEED_168 = (1.093575041908724, -0.06830714573278798, -1.030288600196865)
+
+
+def test_closing_a_slot_beats_every_all_open_price():
+    # At the last step, state (5, 0, 1) prices all three slots at the cap when
+    # all stay open; slot 3's opportunity cost 2.0 gives it margin 1 at the
+    # cap, below the surplus rate, so closing it earns 1.81e-3 more.
+    scenario = _boxed3(_BOXED3_SEED_11)
+    v_next = sp.terminal_values(scenario)
+    sol = sp.solve_stage(scenario, (5, 0, 1), v_next)
+    closed = sp.stage_objective(scenario, (5, 0, 1), (2.0, 2.0, None), v_next)
+    all_open = sp.stage_objective(scenario, (5, 0, 1), (2.0, 2.0, 2.0), v_next)
+    assert closed - all_open == pytest.approx(1.81e-3, abs=1e-5)
+    assert sol.value >= closed
+    assert sol.prices == (2.0, 2.0, None) and not sol.interior
+    _assert_stage_matches_oracle_and_layer(scenario, (5, 0, 1), v_next)
+
+
+@pytest.mark.parametrize("betas", [_BOXED3_SEED_11, _BOXED3_SEED_168], ids=["seed11", "seed168"])
+def test_stage_values_dominate_sampled_open_and_closed_prices(betas):
+    # At sampled stages the solved value is at least the objective of every
+    # vector whose slots are each closed, at price_min or at price_max, and
+    # of random in-box vectors with about a fifth of the slots closed.
+    scenario = _boxed3(betas)
+    values, _ = sp.solve_horizon(scenario)
+    lat, caps = scenario.lattice, np.asarray(scenario.capacities)
+    lo, hi = scenario.price_min, scenario.price_max
+    rng = np.random.default_rng(4321)
+    worst = math.inf
+    for _ in range(200):
+        t = int(rng.integers(1, scenario.horizon + 1))
+        state = lat.state(int(rng.integers(lat.n_states)))
+        feasible = np.asarray(state) < caps
+        v_next = values.layer(t + 1)
+        vectors = [
+            [d if f else None for d, f in zip(corner, feasible)]
+            for corner in itertools.product((None, lo, hi), repeat=scenario.n_slots)
+        ]
+        for _ in range(20):
+            draw = rng.uniform(lo, hi, scenario.n_slots)
+            open_ = feasible & (rng.random(scenario.n_slots) < 0.8)
+            vectors.append([float(d) if o else None for d, o in zip(draw, open_)])
+        best = max(sp.stage_objective(scenario, state, vector, v_next) for vector in vectors)
+        worst = min(worst, values.layer(t)[lat.index(state)] - best)
+    assert worst >= -1e-9
+
+
 def test_solve_stage_deterministic(table1):
     v = sp.terminal_values(table1)
     a = sp.solve_stage(table1, (1, 2), v)
@@ -434,20 +517,8 @@ def test_solve_stage_deterministic(table1):
 
 
 # ---------------------------------------------------------------------------
-# probability-space form and the logit inversion
+# probability-space form
 # ---------------------------------------------------------------------------
-
-
-def test_price_probability_round_trip(table1):
-    rng = np.random.default_rng(4711)
-    for _ in range(1000):
-        prices = tuple(rng.uniform(table1.price_min, table1.price_max, 2))
-        probs = sp.choice_probabilities(table1, prices)
-        back = sp.prices_from_probabilities(table1, probs)
-        assert max(abs(b - d) for b, d in zip(back, prices)) <= 1e-10
-    probs = sp.choice_probabilities(table1, (1.0, None))
-    back = sp.prices_from_probabilities(table1, probs)
-    assert back[0] == pytest.approx(1.0, abs=1e-12) and back[1] is None
 
 
 def _random_probability_point(rng, scenario):

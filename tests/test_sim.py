@@ -146,7 +146,8 @@ def test_step_frequencies_match_choice_model(table1, table1_solution):
     table = _policy_tables(table1, policy, table1.arrival_rate)
     thresholds = table[0, :, 0]  # first booking step, empty state
     prices = tuple(policy.prices[0, 0])
-    expected = sp.arrival_probabilities(table1, prices).per_slot
+    lam = table1.arrival_rate
+    expected = [lam * p for p in sp.choice_probabilities(table1, prices).per_slot]
     n = 1_000_000
     u = np.random.Generator(np.random.Philox(key=2718)).random(n)
     counts = [

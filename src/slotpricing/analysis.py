@@ -32,6 +32,9 @@ MAX_ENUM_CANDIDATES = 8_000_000
 # Margins this far below zero count as genuine concavity violations; smaller
 # dips are indistinguishable from float roundoff in the layer values.
 NONNEGATIVITY_TOL = 1e-9
+# The margin sweep takes as many layers at a time as keep each of its
+# temporary arrays near this size, 1 MiB.
+_SWEEP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,18 @@ class EnclosingSets(Mapping):
         return self._lattice.n_states
 
     def margins(self, values: np.ndarray) -> np.ndarray:
-        """Interpolation margin of every stored combination, in row order."""
+        """Interpolation margin of every stored combination, in row order, of
+        one value layer or of each layer of a stack (the last axis the states).
+
+        Each support column is gathered slot-major across the layers and the
+        products are added in support order, the order of a row-wise sum over
+        the few columns, so a layer's margins are the same bit for bit however
+        many layers are stacked with it."""
         values = np.asarray(values, dtype=float)
-        interp = (self.weights * values[self.support]).sum(axis=1)
-        return values[self.targets] - interp
+        interp = self.weights[:, 0] * values[..., self.support[:, 0]]
+        for k in range(1, self.support.shape[1]):
+            interp += self.weights[:, k] * values[..., self.support[:, k]]
+        return values[..., self.targets] - interp
 
     def combination(self, row: int) -> Witness:
         states = self._lattice.states_array
@@ -174,17 +185,30 @@ def concavity_margin(
     States without enclosing combinations contribute nothing; a lattice with
     none at all returns ``(inf, None)``.
     """
+    return _worst_margins(scenario, np.asarray(values, dtype=float)[np.newaxis], enclosings)[0]
+
+
+def _worst_margins(
+    scenario: Scenario, layers: np.ndarray, enclosings: EnclosingSets
+) -> list[tuple[float, Optional[Witness]]]:
+    """``concavity_margin`` of each row of ``layers``, swept in blocks of layers
+    whose margins take about ``_SWEEP_BYTES`` per temporary array."""
     if enclosings.scenario_fingerprint != scenario.fingerprint():
         raise ValueError("enclosing sets were built for a different scenario")
     if enclosings.n_combinations == 0:
-        return math.inf, None
-    values = np.asarray(values, dtype=float)
-    row = int(np.argmin(enclosings.margins(values)))
-    den = int(enclosings.denominators[row])
-    margin = Fraction(float(values[enclosings.targets[row]]))
-    for q, num in zip(enclosings.support[row].tolist(), enclosings.numerators[row].tolist()):
-        margin -= Fraction(num, den) * Fraction(float(values[q]))
-    return float(margin), enclosings.combination(row)
+        return [(math.inf, None)] * len(layers)
+    worst = []
+    step = max(1, _SWEEP_BYTES // (8 * enclosings.n_combinations))
+    for start in range(0, len(layers), step):
+        block = layers[start : start + step]
+        for values, row in zip(block, enclosings.margins(block).argmin(axis=1).tolist()):
+            den = int(enclosings.denominators[row])
+            margin = Fraction(float(values[enclosings.targets[row]]))
+            nums = enclosings.numerators[row].tolist()
+            for q, num in zip(enclosings.support[row].tolist(), nums):
+                margin -= Fraction(num, den) * Fraction(float(values[q]))
+            worst.append((float(margin), enclosings.combination(row)))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -210,7 +234,9 @@ def concavity_report(
     """Concavity margins of every booking-step layer t = 1 .. horizon.
 
     Solves the horizon when ``values`` is omitted and enumerates the enclosing
-    geometry when ``enclosings`` is omitted.
+    geometry when ``enclosings`` is omitted. Each layer's margin and witness
+    are its ``concavity_margin``: the layers are swept in blocks of about
+    1 MiB per temporary array, by the same arithmetic.
     """
     if values is None:
         values, _ = solve_horizon(scenario)
@@ -219,16 +245,11 @@ def concavity_report(
     if enclosings is None:
         enclosings = enumerate_enclosings(scenario)
     ts = tuple(range(1, scenario.horizon + 1))
-    eps: list[float] = []
-    wits: list[Optional[Witness]] = []
-    for t in ts:
-        margin, witness = concavity_margin(scenario, values.layer(t), enclosings)
-        eps.append(margin)
-        wits.append(witness)
+    worst = _worst_margins(scenario, values.values[: scenario.horizon], enclosings)
+    eps = tuple(margin for margin, _ in worst)
+    wits = tuple(witness for _, witness in worst)
     all_nonneg = all(e >= -NONNEGATIVITY_TOL for e in eps)
-    return ConcavityReport(
-        ts=ts, epsilon=tuple(eps), witnesses=tuple(wits), all_nonnegative=all_nonneg
-    )
+    return ConcavityReport(ts=ts, epsilon=eps, witnesses=wits, all_nonnegative=all_nonneg)
 
 
 def _opportunity_cost_increases(scenario: Scenario, values: np.ndarray):

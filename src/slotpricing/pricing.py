@@ -19,21 +19,24 @@ states and slots; the backward induction builds the layer's fixed geometry
 once and hands it every state of each layer, and ``solve_stage`` a single
 state. Lambert W stays the scalar ``lambert_w0``. The rows are settled in
 order. First the interior rows, found without W and priced by the closed
-form, one W call each. Then the capped rows, where every offered slot
-charges ``price_max``: the markup's first-order condition at the cap decides
-them, and they are priced and closed in closed form with no W call. Then the
-breakpoint walk over the rest, with one W call per walk that has a free
-slot; a row where closing pays is walked again over its nested closures.
-Every logit weight, in the solver and in the scalar formulas, comes from the
-model's logit kernel; the Lambert W arguments pass their ``-1`` as its log
-offset.
+form, one W call each; a screen on the box's upper edge comes first, and
+only the rows that pass it get W arguments. Then the capped rows, where
+every offered slot charges ``price_max``: the markup's first-order condition
+at the cap decides them, and they are priced and closed in closed form with
+no W call; their weights at ``price_max`` depend on the layer's geometry
+alone, so a solve builds them once. Then the breakpoint walk over the rest,
+with one W call per walk that has a free slot; a row where closing pays is
+walked again over its nested closures. Every logit weight, in the solver and
+in the scalar formulas, comes from the model's logit kernel; the Lambert W
+arguments pass their ``-1`` as its log offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -182,27 +185,51 @@ def stage_objective(
     return float(v_next[ix]) + float(scenario.arrival_rate * num / (1.0 + total))
 
 
-class _Layer(NamedTuple):
+@dataclass
+class _Layer:
     """What stays fixed about a layer of states from one time step to the next.
 
-    ``rows`` are the states; ``live`` indexes the rows with a slot to offer,
-    ``nbr_live`` and ``o_live`` are those rows' neighbours and offered slots,
-    and ``nan_prices`` is the layer's price table before any row is priced.
+    ``rows`` are the states of ``scenario``; ``live`` indexes the rows with a
+    slot to offer, ``nbr_live`` and ``o_live`` are those rows' neighbours and
+    offered slots, and ``nan_prices`` is the layer's price table before any
+    row is priced.
     """
 
+    scenario: Scenario
     rows: np.ndarray
     live: np.ndarray
     nbr_live: np.ndarray
     o_live: np.ndarray
     nan_prices: np.ndarray
 
+    @cached_property
+    def cap(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights at ``price_max`` of the live rows' offered slots, and
+        one plus each row's sum of them. They depend on the geometry alone, so
+        a solve builds them once, the first time a row is not interior; read
+        inside the solver's ``np.errstate``. Where they do not fit a float the
+        overflow error is raised, as the first capped test would."""
+        scenario = self.scenario
+        u, u_sum = _logit_weights(scenario, scenario.price_max, self.o_live, errstate_held=True)
+        k = 1.0 + u_sum
+        u.flags.writeable = k.flags.writeable = False  # shared by every solve of the layer
+        return u, k
+
 
 def _layer(scenario: Scenario, rows: np.ndarray) -> _Layer:
-    """The fixed geometry of the layer of states ``rows``."""
+    """The fixed geometry of the layer of states ``rows``. Its weights at the
+    cap are left to ``_Layer.cap``, so a layer whose rows are all interior,
+    as a lone interior stage is, never builds them."""
     nbr = scenario.lattice.neighbours[rows]
     offered = nbr >= 0
     live = offered.any(axis=1).nonzero()[0]
-    return _Layer(rows, live, nbr[live], offered[live], np.full(nbr.shape, np.nan))
+    return _Layer(scenario, rows, live, nbr[live], offered[live], np.full(nbr.shape, np.nan))
+
+
+def _take(ix: np.ndarray, n: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows ``ix`` (sorted and distinct) of arrays of ``n`` rows; the arrays
+    themselves, not copies, when ``ix`` takes every row."""
+    return arrays if len(ix) == n else tuple(a[ix] for a in arrays)
 
 
 def _walk(scenario: Scenario, ac: np.ndarray, oc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,38 +317,52 @@ def _layer_solve(
     closed form, one Lambert W each; then the capped rows, where every
     offered slot charges ``price_max``, in closed form with no Lambert W; then
     the breakpoint walk on the rest, with one Lambert W per walk that has a
-    price strictly inside the box. Capped and walked rows close slots where
-    that pays (see ``solve_stage``).
+    price strictly inside the box. A screen on the box's upper edge comes
+    first, and only the rows that pass it get Lambert W arguments; the capped
+    test reads the layer's weights at the cap. A pass that takes every live
+    row works on the layer's own arrays, not on copies. Capped and walked
+    rows close slots where that pays (see ``solve_stage``).
     """
     lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
     lo, hi = scenario.price_min, scenario.price_max
     live, o_live = layer.live, layer.o_live
+    n_live = len(live)
     values = v_next[layer.rows]
     # net_revenue - z
     a_live = np.where(o_live, r - (values[live][:, np.newaxis] - v_next[layer.nbr_live]), 0.0)
+    prices, gain = np.empty(a_live.shape), np.empty(n_live)
+    inside = np.zeros(n_live, dtype=bool)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _logit_weights(scenario, -a_live, o_live, -1.0, errstate_held=True)[1]
         # The closed-form prices -(1 + W(y))/bd - a_j lie in the box exactly
         # when c_lo <= W(y) <= c_hi, with c = -bd * (edge + a_j) - 1 at the
         # largest a_j for lo and the smallest for hi. W is increasing, at
         # least 0, and W(c e^c) = c for c >= 0, so the test needs no W:
-        # c_hi >= 0, y <= c_hi e^c_hi and y >= c_lo e^c_lo. The first keeps a
-        # y that underflowed to 0 from passing a c_hi < 0, where c e^c is -0.0
-        # or below; the last always holds for c_lo <= 0. Exact ties count as
-        # inside: the example prices a lone slot exactly at price_max. An e^c
-        # that overflows to inf reads as no bound. fmin and fmax skip the NaN
-        # of closed slots; the slot-major copy keeps their reductions over
-        # each row's few slots fast.
+        # c_hi >= 0, y <= c_hi e^c_hi and y >= c_lo e^c_lo. The first is the
+        # screen: it needs no y, and it keeps a y that underflowed to 0 from
+        # passing a c_hi < 0, where c e^c is -0.0 or below; the last always
+        # holds for c_lo <= 0. Exact ties count as inside: the example prices
+        # a lone slot exactly at price_max. An e^c that overflows to inf reads
+        # as no bound. fmin and fmax skip the NaN of closed slots; the
+        # slot-major copy keeps their reductions over each row's few slots fast.
         ends = np.asfortranarray(np.where(o_live, a_live, np.nan))
         a_min, a_max = np.fmin.reduce(ends, axis=1), np.fmax.reduce(ends, axis=1)
         c_hi = -bd * a_min - (bd * hi + 1.0)
-        c_lo = -bd * a_max - (bd * lo + 1.0)
-        inside = (c_hi >= 0.0) & (y <= c_hi * np.exp(c_hi)) & (y >= c_lo * np.exp(c_lo))
-        w = np.zeros(len(live))
-        w[inside] = [lambert_w0(x) for x in y[inside].tolist()]
-        prices = (-(1.0 + w) / bd)[:, np.newaxis] - a_live
-        gain = -lam / bd * w
+        cand = (c_hi >= 0.0).nonzero()[0]
+        if len(cand):
+            ac, oc, c_top, a_top = _take(cand, n_live, a_live, o_live, c_hi, a_max)
+            y = _logit_weights(scenario, -ac, oc, -1.0, errstate_held=True)[1]
+            c_lo = -bd * a_top - (bd * lo + 1.0)
+            ins = (y <= c_top * np.exp(c_top)) & (y >= c_lo * np.exp(c_lo))
+            if ins.any():
+                w = np.zeros(len(cand))
+                w[ins] = [lambert_w0(x) for x in y[ins].tolist()]
+                # the candidates that are not interior are priced again below
+                p_cand, g_cand = (-(1.0 + w) / bd)[:, np.newaxis] - ac, -lam / bd * w
+                if len(cand) == n_live:
+                    prices, gain, inside = p_cand, g_cand, ins
+                else:
+                    prices[cand], gain[cand], inside[cand] = p_cand, g_cand, ins
         out = (~inside).nonzero()[0]
         if len(out):
             # Off the box the optimum is still d_j = clamp(m - a_j) for one
@@ -333,10 +374,9 @@ def _layer_solve(
             # is lam * s_hi. An s_hi that overflows to inf fails the final
             # finiteness check; a NaN one is not capped, and the walk raises.
             # A capped row closes a slot only if its least margin a_j + hi does.
-            ac, oc = a_live[out], o_live[out]
-            u, u_sum = _logit_weights(scenario, hi, oc, errstate_held=True)
-            s_hi = (u * (ac + hi)).sum(axis=1) / (1.0 + u_sum)
-            capped = s_hi - 1.0 / bd >= hi + a_max[out]
+            ac, oc, u, k_hi, a_top = _take(out, n_live, a_live, o_live, *layer.cap, a_max)
+            s_hi = (u * (ac + hi)).sum(axis=1) / k_hi
+            capped = s_hi - 1.0 / bd >= hi + a_top
             top, s_top = out[capped], s_hi[capped]
             prices[top] = hi
             near = a_min[top] + hi < s_top - 1e-12  # the tie allowance is at least 1e-12
@@ -388,7 +428,7 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]
     v_next = np.asarray(v_next, dtype=float)
-    if not np.all(np.isfinite(v_next[[ix, *nbr[nbr >= 0]]])):
+    if not (math.isfinite(v_next[ix]) and np.isfinite(v_next[nbr[nbr >= 0]]).all()):
         raise ValueError("next-step values must be finite")
     layer = _layer(scenario, np.array([ix]))
     values, prices, interior = _layer_solve(scenario, v_next, layer)

@@ -193,6 +193,32 @@ def test_margin_detects_corruption(table1, table1_solution, table1_enclosings):
     assert witness is not None
 
 
+def test_stacked_margins_match_row_sums_bit_for_bit(table1_enclosings):
+    # margins gathers slot-major over a stack of layers; each layer's margins
+    # must be the row-wise sums over its combinations, alone or stacked
+    enc = table1_enclosings
+    layers = np.random.default_rng(99).normal(size=(7, len(enc))) * 1e3
+    stacked = enc.margins(layers)
+    for layer, got in zip(layers, stacked):
+        expected = layer[enc.targets] - (enc.weights * layer[enc.support]).sum(axis=1)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(enc.margins(layer), expected)
+
+
+@pytest.mark.parametrize("block_layers", [1, 7, 200])
+def test_report_is_each_layers_margin(
+    table1, table1_solution, table1_enclosings, monkeypatch, block_layers
+):
+    # the report sweeps the layers in blocks (7 leaves a short last block);
+    # every block size gives each layer its own concavity_margin exactly
+    block_bytes = 8 * table1_enclosings.n_combinations * block_layers
+    monkeypatch.setattr(sp.analysis, "_SWEEP_BYTES", block_bytes)
+    values, _ = table1_solution
+    report = sp.concavity_report(table1, values, table1_enclosings)
+    for t, eps, witness in zip(report.ts, report.epsilon, report.witnesses):
+        assert (eps, witness) == sp.concavity_margin(table1, values.layer(t), table1_enclosings)
+
+
 def test_margin_fingerprint_guard(table1, table1_enclosings):
     other = dataclasses.replace(table1, horizon=10)
     with pytest.raises(ValueError, match="different scenario"):

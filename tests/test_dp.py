@@ -212,6 +212,38 @@ def test_interior_flag_matches_unconstrained_prices_in_box():
     assert skipped <= checked // 100, f"skipped {skipped} of {checked + skipped} states"
 
 
+# Where the 12-step example starts to raise the overflow error as beta_const
+# rises, per pair of cost coefficients. These outcomes predate the layer
+# solver's screen, which builds Lambert W arguments only for the rows that
+# pass it, and its weights at the cap, built once per solve: neither may move
+# a scenario between solving and raising.
+_FIRST_OVERFLOWING_BETA_CONST = {
+    (1.0, 2.0): 709.75,
+    (0.0, 0.0): 708.75,
+    (3.0, 3.0): 710.75,
+    (5.0, 0.5): 707.5,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coefficients", _FIRST_OVERFLOWING_BETA_CONST, ids=str)
+def test_overflow_outcomes_over_a_beta_const_sweep(table1, coefficients):
+    first = _FIRST_OVERFLOWING_BETA_CONST[coefficients]
+    for beta_const in np.arange(700.0, 722.125, 0.25).tolist():
+        scenario = dataclasses.replace(
+            table1,
+            horizon=12,
+            beta_const=beta_const,
+            cost=sp.AffineCost(table1.cost.intercept, coefficients),
+        )
+        if beta_const >= first:
+            with pytest.raises(ValueError, match="beta_const"):
+                sp.solve_horizon(scenario)
+        else:
+            values, _ = sp.solve_horizon(scenario)
+            assert np.isfinite(values.values).all(), beta_const
+
+
 def test_bellman_residual_values(table1):
     v_star = sp.fixed_point(table1)
     assert sp.bellman_residual(table1, v_star) <= 1e-8

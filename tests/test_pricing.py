@@ -400,6 +400,40 @@ def test_solve_stage_interior_test_beyond_the_float_range(table1):
     assert sol.prices == (None, None) and sol.value == v[0]
 
 
+def test_layer_of_interior_capped_and_walked_rows_matches_each_stage(table1):
+    # A layer where every pass of the layer solver takes a strict subset of
+    # the rows: 19 of the 24 live rows pass the screen on the box's upper
+    # edge (c_hi >= 0) and 3 of those are interior; the other 21 split into
+    # 16 capped and 5 walked rows, and 4 rows close a slot. Every row of the
+    # layer must be its stage solved alone, bit for bit, and the best open
+    # set to 1e-10.
+    scenario = dataclasses.replace(table1, horizon=1)
+    lat = scenario.lattice
+    states = lat.states_array
+    v_next = -(states @ np.array([0.5, 1.0])) - 0.2 * (states**2).sum(axis=1)
+    policy = sp.policy_from_values(
+        scenario, sp.ValueFunction(np.stack([v_next, v_next]), scenario.fingerprint())
+    )
+    bd, hi = scenario.beta_price, scenario.price_max
+    kinds = dict.fromkeys(["screened", "interior", "capped", "walked", "closing"], 0)
+    for state in lat.states():
+        sol = sp.solve_stage(scenario, state, v_next)
+        assert sol == policy.stage(scenario, 1, state)
+        opp = sp.opportunity_costs(scenario, v_next, state)
+        if not opp.slots:
+            continue
+        _assert_matches_best_open_set(scenario, state, v_next, sol)
+        c_hi = -bd * (scenario.net_revenue - max(opp.values) + hi) - 1.0
+        kinds["screened"] += c_hi >= 0.0
+        offered = [d for d in sol.prices if d is not None]
+        capped = not sol.interior and all(d == hi for d in offered)
+        kinds["interior"] += sol.interior
+        kinds["capped"] += capped
+        kinds["walked"] += not (sol.interior or capped)
+        kinds["closing"] += len(offered) < len(opp.slots)
+    assert kinds == {"screened": 19, "interior": 3, "capped": 16, "walked": 5, "closing": 4}
+
+
 def test_solve_stage_breakpoint_tie_between_lo_and_hi():
     # box [0, 2] with net_revenue - z = (1, -1): slot 1 leaves the floor at
     # markup 1, exactly where slot 2 reaches the cap

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +39,22 @@ def _require_number(value, field: str) -> float:
     return float(value)
 
 
+def _integral(value) -> Optional[int]:
+    """``value`` as an int (numpy integers included); None for a bool or any
+    other type, so a float is refused even when it is integral."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _require_count(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    count = _integral(value)
+    if count is None:
         raise ScenarioError(f"{field} must be an integer")
-    return value
+    return count
 
 
 @dataclass(frozen=True)
@@ -88,8 +101,13 @@ class StateLattice:
         )
 
     def check(self, state: Sequence[int]) -> State:
-        """Return the state as a tuple, raising if it lies outside the lattice."""
-        state = tuple(int(x) for x in state)
+        """Return the state as a tuple of ints, raising ``ValueError`` if a
+        coordinate is not an integer (a bool or a float included) or the state
+        lies outside the lattice."""
+        coords = tuple(_integral(x) for x in state)
+        if any(x is None for x in coords):
+            raise ValueError(f"state {tuple(state)} must have integer coordinates")
+        state = coords
         if not self.contains(state):
             raise ValueError(f"state {state} lies outside the lattice with capacities {self.capacities}")
         return state
@@ -140,7 +158,9 @@ class Scenario:
     (the file key is ``lambda``). A customer offered prices d chooses slot s
     with multinomial-logit probability proportional to
     ``exp(beta_const + slot_betas[s] + beta_price * d[s])``, with the
-    no-purchase utility normalised to zero.
+    no-purchase utility normalised to zero. ``horizon`` and each capacity
+    must be integers (numpy integers are stored as ints); a float, even an
+    integral one, or a bool raises ``ScenarioError`` naming the field.
     """
 
     arrival_rate: float
@@ -155,6 +175,12 @@ class Scenario:
     cost: CostSpec
 
     def __post_init__(self):
+        # integer fields are stored as ints; a float or a bool is refused
+        object.__setattr__(self, "horizon", _require_count(self.horizon, "horizon"))
+        caps = tuple(
+            _require_count(c, f"capacities[{i}]") for i, c in enumerate(self.capacities)
+        )
+        object.__setattr__(self, "capacities", caps)
         if not 0.0 < self.arrival_rate < 1.0:
             raise ScenarioError("lambda must lie strictly between 0 and 1")
         if self.horizon < 0:

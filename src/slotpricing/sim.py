@@ -1,52 +1,66 @@
 """Seeded Monte Carlo walk of the booking horizon under a fixed price policy.
 
-Each replication starts at the empty lattice state, draws one uniform per
-booking step to decide whether a customer arrives and which open slot (if
-any) they choose at the policy's prices, collects net revenue plus delivery
-charge per sale, and finally subtracts the delivery cost of the end state.
-The sample mean cross-validates the solved value at the initial state. The
-sale probabilities come from the model's logit kernel, so an overflowing
-utility raises the same error here as in the solver.
+Each replication starts at the empty lattice state. At each booking step a
+customer may arrive and choose an open slot at the policy's prices; each
+sale collects net revenue plus the delivery charge, and the end state's
+delivery cost is subtracted at the end. The sample mean cross-validates the
+solved value at the initial state. The sale probabilities come from the
+model's logit kernel, so an overflowing utility raises the same error here
+as in the solver.
 
-Replications run in near-equal lanes on two threads. Each lane reads its own
-PCG64DXSM substream, one draw per drawing replication and step, so a
-replication whose slots are all at capacity (where nothing can sell) retires
-at the next 16-step checkpoint and stops drawing. A lane needs no lock: it
-walks into its own profit buffer and returns its final-state counts and
-profit moments, which are combined in lane order. So memory is bounded by
-the lanes in flight, not by the replication count, unless the profits of
-every replication are kept.
+Replications run in near-equal lanes on two threads, each lane on its own
+PCG64DXSM substream, and one of two walks draws their sales:
+
+- the per-step walk draws one uniform per replication and step;
+- the event walk samples the same law by thinning (Lewis & Shedler, Naval
+  Research Logistics Quarterly 1979). A replication jumps to its next
+  candidate step by a geometric gap, drawn from one exponential at the rate
+  of its state's largest sale probability, and one uniform accepts or
+  rejects the candidate. A replication that can sell no more draws nothing.
+
+The event walk's work grows with the candidates, not with the horizon, so
+``simulate`` runs it when the horizon is long against a replication's
+expected candidates. A lane needs no lock: it walks into its own profit
+buffer and returns its final-state counts and profit moments, which are
+combined in lane order. So memory is bounded by the lanes in flight, not by
+the replication count, unless the profits of every replication are kept.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dp import PricePolicy
-from .model import Scenario, _logit_weights, cost_values
+from .model import Scenario, _integral, _logit_weights, cost_values
 
-GENERATOR = "numpy.random.PCG64DXSM/lanes"
-# Most replications per lane. A lane holds one draw, state and profit per
-# replication, so wide lanes cost little memory and spread the per-step numpy
-# overhead over many rows. The lane count depends on ``reps`` alone and each
-# lane reads its own substream, so results do not depend on _WORKERS, the
-# threads that walk lanes at once; they do depend on this cap. On a 2-core
-# host the paper example (200,000 replications) took 0.13-0.14 s in four
-# lanes of 50,000 rows on two threads, 0.21 s on one thread and 0.18 s in
-# lanes of 16,384 rows (best of 7). The policy table is built in blocks of
-# at most this many entries, so its temporaries are no larger than a lane's.
+GENERATOR = "numpy.random.PCG64DXSM"  # the label appends the walk, /steps or /events
+# Most replications per lane. A lane holds a few numbers per replication,
+# so wide lanes cost little memory and spread the per-step or per-round
+# numpy overhead over many rows. The lane count depends on ``reps`` alone and
+# each lane reads its own substream, so results do not depend on _WORKERS,
+# the threads that walk lanes at once; they do depend on this cap. On a
+# 2-core host, best of 7 (median in brackets): the paper example (200,000
+# replications, event walk) took 0.047 (0.049) s in four lanes of 50,000
+# rows on two threads, 0.045 (0.047) s on one thread and 0.054 (0.056) s in
+# lanes of 16,384 rows; open4 (500,000 replications, per-step walk) took
+# 0.24 (0.26), 0.35 (0.40) and 0.33 (0.39) s. The policy table is built in
+# blocks of at most this many entries, and the event walk holds its live
+# rows in parts of at most a quarter of it, so their temporaries are no
+# larger than a lane's.
 _CHUNK = 65_536
 _WORKERS = 2
-# Steps between the checks that retire full replications. A check compares
-# every drawing row's state and compacts the lane when some row is full;
-# run at every step it cost more than it saved on workloads that rarely fill.
-_RETIRE_EVERY = 16
+# The event walk runs when the horizon is at least this many times the
+# expected candidate steps of a replication. Measured in one process on one
+# thread, the event walk took 1.19 of the per-step walk's time at 4.5 steps
+# per candidate (boxed3), 0.89 at 5.7 and 0.66 at 7.0 (boxed3 with longer
+# horizons), and 1.31, 0.91 and 0.72 at 4.6, 6.9 and 8.9 (the example at
+# horizons 20, 40 and 60).
+_STEPS_PER_CANDIDATE = 5.5
 
 
 @dataclass(frozen=True)
@@ -56,10 +70,11 @@ class SimulationResult:
     ``std_error`` is the sample standard deviation over replications divided
     by sqrt(replications) (0.0 with a single replication). The histogram
     counts the final lattice state of every replication and sums to
-    ``replications``. ``generator`` records the PRNG so the run can be
-    replayed from ``seed`` and ``replications``. ``profits`` holds each
-    replication's profit in index order when the run was asked to keep them,
-    else None; the other fields do not depend on whether it was.
+    ``replications``. ``generator`` names the PRNG and the walk that drew
+    from it, ``numpy.random.PCG64DXSM/steps`` or ``.../events``, so the run
+    can be replayed from ``seed`` and ``replications``. ``profits`` holds
+    each replication's profit in index order when the run was asked to keep
+    them, else None; the other fields do not depend on whether it was.
     """
 
     replications: int
@@ -105,14 +120,35 @@ def _policy_tables(scenario: Scenario, policy: PricePolicy, arrival_rate: float)
     return table
 
 
+def _expected_candidates(scenario: Scenario, table: np.ndarray, bound: np.ndarray) -> float:
+    """Expected candidate steps of one replication, ``sum_t E[bound(X_t)]``.
+
+    One exact forward pass of the state distribution from the empty state:
+    at each step a state's mass moves to its neighbours by the per-slot sale
+    probabilities of ``table`` (``_policy_tables``) and stays otherwise.
+    """
+    lat = scenario.lattice
+    nbr = lat.neighbours.T.reshape(-1)  # in the table's (slot, state) order
+    source = np.flatnonzero(nbr >= 0)
+    targets = nbr.take(source)
+    dist = np.zeros(lat.n_states)
+    dist[0] = 1.0
+    visits = np.zeros(lat.n_states)  # expected steps spent in each state
+    for cum in table:
+        visits += dist
+        sold = cum * dist  # mass sold to this slot or a lower one
+        sold[1:] -= sold[:-1]
+        dist *= 1.0 - cum[-1]
+        dist += np.bincount(targets, weights=sold.reshape(-1).take(source), minlength=lat.n_states)
+    return float(bound @ visits)
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an int; a bool or a non-integer raises ``ValueError``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    count = _integral(value)
+    if count is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
 
 
 def simulate(
@@ -129,27 +165,40 @@ def simulate(
     Bit-reproducible for a fixed ``seed`` and ``reps``. The replications
     split into ``min(reps, max(2, ceil(reps / _CHUNK)))`` near-equal
     contiguous lanes. Lane k reads the PCG64DXSM stream seeded with ``seed``,
-    advanced by ``k * 2**64`` (one 64-bit output per draw); at each booking
-    step the lane's drawing replications take its next draws in index order.
-    At every 16th step (t > 0, counted from 0) the replications in the full
-    state, where every slot is at capacity, write their profit and stop
-    drawing; a lane with none left drawing stops. The full state absorbs
-    under every policy, so each replication's path has the same law as
-    without retirement. A replication's draws depend on ``reps`` and on the
-    lane cap as well as on ``seed``. ``_WORKERS`` threads walk the lanes. A
-    lane walks into a profit buffer: a view of the kept profits with
-    ``keep_profits``, else an array of its own, freed when it returns. It
-    returns its final-state counts, its profit sum and its sum of squared
-    deviations about its own mean. The counts are summed as integers and the
-    moments combined in lane order by the pairwise update of Chan, Golub &
-    LeVeque, so the mean, standard error and histogram depend neither on the
-    thread that ran a lane nor on ``keep_profits``, and memory grows with
-    ``reps`` only when the profits are kept. A step tests every drawing
-    row's draw against its state's sale probability; only the rows that
-    sell look up their slot, the number of cumulative thresholds at or below
-    the draw, and add the offered price plus the net revenue.
-    ``arrival_rate`` optionally overrides the scenario's rate (0.0 is
-    allowed here, unlike in the solver). ``ValueError`` is raised, before
+    advanced by ``k * 2**64``; each uniform takes one 64-bit output. A
+    replication's draws depend on ``reps`` and on the lane cap as well as on
+    ``seed``. One of two walks runs every lane:
+
+    - **steps**: at each booking step the lane's replications take its next
+      uniforms in index order. A replication sells when its uniform lies
+      below its state's sale probability.
+    - **events**: q(x), a state's bound, is its largest sale probability
+      over the steps (0 where nothing can sell). Each round, every live
+      replication in index order draws one exponential E; its candidate is
+      its first step not yet passed plus ``floor(E / -log1p(-q(x)))``. A
+      replication whose candidate is at or past the horizon finishes, and
+      one past the horizon or with q(x) = 0 finishes without drawing. The
+      others then draw one uniform U each, in index order, and sell at
+      their candidate when ``U * q(x)`` lies below its sale probability.
+
+    Either way a sale goes to the slot counted by the cumulative thresholds
+    at or below the draw, and adds the offered price plus the net revenue.
+    The two walks sample the same law but different numbers. The event walk
+    runs when ``horizon >= _STEPS_PER_CANDIDATE * C``, where C, the expected
+    candidates per replication ``sum_t E[q(X_t)]``, comes from one exact
+    forward pass of the state distribution; its label ends in ``/events``,
+    the other's in ``/steps``.
+
+    ``_WORKERS`` threads walk the lanes. A lane walks into a profit buffer:
+    a view of the kept profits with ``keep_profits``, else an array of its
+    own, freed when it returns. It returns its final-state counts, its
+    profit sum and its sum of squared deviations about its own mean. The
+    counts are summed as integers and the moments combined in lane order by
+    the pairwise update of Chan, Golub & LeVeque, so the mean, standard
+    error and histogram depend neither on the thread that ran a lane nor on
+    ``keep_profits``, and memory grows with ``reps`` only when the profits
+    are kept. ``arrival_rate`` optionally overrides the scenario's rate (0.0
+    is allowed here, unlike in the solver). ``ValueError`` is raised, before
     any allocation or thread, when ``reps`` or ``seed`` is not an integer
     (bools included), when ``arrival_rate`` is not a real number (str, bytes
     and bools included), when ``reps`` is below 1, ``seed`` lies outside
@@ -176,38 +225,20 @@ def simulate(
         raise ValueError("policy horizon does not match the scenario")
     lat = scenario.lattice
     horizon = scenario.horizon
+    n_slots = scenario.n_slots
     costs = cost_values(scenario)
     thresholds = _policy_tables(scenario, policy, lam)  # [t, -1]: sale probability
+    bound = thresholds[:, -1].max(axis=0) if horizon else np.zeros(lat.n_states)
+    use_events = horizon >= _STEPS_PER_CANDIDATE * _expected_candidates(scenario, thresholds, bound)
     prices = policy.prices
     profits = np.zeros(reps) if keep_profits else None
-    full = lat.index(lat.capacities)  # absorbing: no slot can sell
 
-    def walk(lane: int, start: int, stop: int) -> tuple[np.ndarray, float, float]:
-        """Walk replications ``start`` to ``stop``; return their final-state
-        counts, their profit sum and their profits' sum of squared deviations
-        about their own mean."""
-        bits = np.random.PCG64DXSM(seed)
-        bits.advance(lane << 64)
-        rng = np.random.Generator(bits)
-        profit = np.zeros(stop - start) if profits is None else profits[start:stop]
-        states = np.zeros(stop - start, dtype=np.int64)
-        u = draws = np.empty(stop - start)
-        rows = None  # lane positions of the drawing rows, once some retire
+    def steps(rng, profit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Walk every replication through every step; return the final-state
+        counts and a spent lane-sized buffer."""
+        states = np.zeros(profit.size, dtype=np.int64)
+        u = np.empty(profit.size)
         for t in range(horizon):
-            if t and t % _RETIRE_EVERY == 0:
-                done = states == full
-                if done.any():
-                    live = ~done
-                    if rows is None:
-                        profit[done] -= costs[full]
-                        rows = np.flatnonzero(live)
-                    else:
-                        profit[rows[done]] -= costs[full]
-                        rows = rows[live]
-                    states = states[live]
-                    u = draws[: rows.size]
-                    if not rows.size:
-                        break
             rng.random(out=u)
             sale = np.flatnonzero(u < thresholds[t, -1].take(states))
             if sale.size:
@@ -215,22 +246,120 @@ def simulate(
                 # step, so a lane peaks at about 33 bytes a row
                 flat = states.take(sale)  # the sold states, then their (state, slot) pairs
                 slot = (u.take(sale) >= thresholds[t, :-1].take(flat, axis=1)).sum(axis=0)
-                flat *= scenario.n_slots
+                flat *= n_slots
                 flat += slot
                 del slot
                 gain = prices[t].take(flat)
                 gain += scenario.net_revenue
-                profit[sale if rows is None else rows.take(sale)] += gain
+                profit[sale] += gain
                 del gain
                 states[sale] = lat.neighbours.take(flat)
                 del flat
             del sale
-        profit[... if rows is None else rows] -= costs[states]
-        counts = np.bincount(states, minlength=lat.n_states)
-        counts[full] += stop - start - states.size
+        profit -= costs.take(states)
+        return np.bincount(states, minlength=lat.n_states), u
+
+    if use_events:
+        rate = -np.log1p(-bound)  # a state's candidate steps are Bernoulli(bound)
+        live = bound > 0.0  # something sells here at some step
+        table = thresholds.reshape(-1)  # flat (step, slot, state) index
+        price_table = prices.reshape(-1)  # flat (step, state, slot) index
+        stride = n_slots * lat.n_states  # one step of either table
+        last = (n_slots - 1) * lat.n_states  # the last slot's offset in a step
+        targets = lat.neighbours.reshape(-1)  # by (state, slot) pair
+        block = -(-_CHUNK // 4)  # most rows in a part of a lane's live rows
+
+    def sell(u: np.ndarray, states: np.ndarray, step: np.ndarray, gained: np.ndarray) -> None:
+        """Settle the candidate steps of a part of the live rows in place:
+        ``u`` holds their uniforms times their bounds."""
+        # every row is priced as if it sold, and only the sales keep it: a
+        # row that does not sell counts every threshold below the last
+        at = step.astype(np.int64)
+        at *= stride
+        at += states
+        at += last  # (candidate step, last slot, state) in the threshold table
+        sold = u < table.take(at)  # the last threshold is the sale probability
+        # each row's (state, slot) pair, the slot being the count of
+        # thresholds at or below u
+        pair = np.multiply(states, n_slots, dtype=np.int64)
+        for _ in range(n_slots - 1):
+            at -= lat.n_states
+            pair += table.take(at) <= u
+        at -= states
+        at += pair  # (candidate step, state, slot) in the price table
+        gain = price_table.take(at)
+        del at
+        gain += scenario.net_revenue
+        np.add(gained, gain, out=gained, where=sold)
+        del gain
+        np.copyto(states, targets.take(pair), where=sold)
+
+    def events(rng, profit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jump each live replication to its next candidate step, round by
+        round; return the final-state counts and a lane-sized buffer.
+
+        The live rows are held in parts of at most a quarter lane, walked in
+        index order, and each part settles its finished rows at once, so
+        every temporary, compactions included, is the size of a part.
+        """
+        counts = np.zeros(lat.n_states, dtype=np.int64)
+        n_parts = -(-profit.size // block)
+        edges = [k * profit.size // n_parts for k in range(n_parts + 1)]
+        parts = [  # lane positions, states, first steps not yet passed, revenues
+            (np.arange(lo, hi, dtype=np.int32), np.zeros(hi - lo, dtype=np.int32))
+            + (np.zeros(hi - lo), np.zeros(hi - lo))
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        buf = np.empty(min(block, profit.size))
+        while parts:
+            for i, (rows, states, step, gained) in enumerate(parts):
+                # rows past the horizon or in a state where nothing sells draw
+                # no exponential and finish with the rows whose candidate is late
+                draw = step < horizon
+                draw &= live.take(states)
+                k = np.count_nonzero(draw)
+                e = rng.standard_exponential(out=buf[:k])
+                if k < rows.size:
+                    e = np.full(rows.size, np.inf)
+                    e[draw] = buf[:k]
+                del draw
+                with np.errstate(over="ignore"):  # a tiny rate jumps past the horizon
+                    e /= rate.take(states)
+                step += np.floor(e, out=e)  # now the candidate step
+                del e
+                gone = step >= horizon
+                if gone.any():
+                    done = np.flatnonzero(gone)
+                    at = states.take(done)
+                    profit[rows.take(done)] = gained.take(done) - costs.take(at)
+                    counts += np.bincount(at, minlength=lat.n_states)
+                    keep = np.flatnonzero(~gone)
+                    parts[i] = tuple(a.take(keep) for a in (rows, states, step, gained))
+                    del done, at, keep
+                del gone
+            parts = [part for part in parts if part[0].size]
+            if len(parts) > 1 and sum(part[0].size for part in parts) <= block:
+                parts = [tuple(np.concatenate(a) for a in zip(*parts))]
+            for rows, states, step, gained in parts:
+                u = rng.random(out=buf[: rows.size])
+                u *= bound.take(states)
+                sell(u, states, step, gained)
+                step += 1.0
+        return counts, np.empty(profit.size)
+
+    lane_walk = events if use_events else steps
+
+    def walk(lane: int, start: int, stop: int) -> tuple[np.ndarray, float, float]:
+        """Walk replications ``start`` to ``stop``; return their final-state
+        counts, their profit sum and their profits' sum of squared deviations
+        about their own mean."""
+        bits = np.random.PCG64DXSM(seed)
+        bits.advance(lane << 64)
+        profit = np.zeros(stop - start) if profits is None else profits[start:stop]
+        counts, spare = lane_walk(np.random.Generator(bits), profit)
         with np.errstate(over="ignore", invalid="ignore"):  # simulate raises on a non-finite result
             total = float(np.sum(profit))
-            deviation = np.subtract(profit, total / profit.size, out=draws)  # draws are spent
+            deviation = np.subtract(profit, total / profit.size, out=spare)
             return counts, total, float(np.sum(np.square(deviation, out=deviation)))
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
@@ -260,7 +389,7 @@ def simulate(
         mean_profit=mean,
         std_error=std_error,
         seed=seed,
-        generator=GENERATOR,
+        generator=f"{GENERATOR}/{'events' if use_events else 'steps'}",
         final_state_histogram=histogram,
         profits=profits,
     )

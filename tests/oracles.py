@@ -347,24 +347,15 @@ def _slot_probabilities(scenario, prices, rate):
     return [rate * w / denom for w in weights]
 
 
-RETIRE_EVERY = 16
-
-
-def reference_simulation(scenario, policy, reps, seed, edges, arrival_rate=None):
-    """Profits and final-state histogram of a scalar walk, lane by lane.
-
-    Lane k holds replications ``edges[k]`` to ``edges[k + 1]`` and reads the
-    PCG64DXSM stream seeded with ``seed``, advanced by ``k * 2**64``, one
-    ``random()`` at a time. At each step the lane's drawing replications, in
-    index order, take its next draws. At every ``RETIRE_EVERY``-th step
-    (t > 0) a replication whose slots are all at capacity retires: it keeps
-    its profit and draws no more. A step sells when its draw is below the
-    summed slot probabilities, to the first slot whose running sum exceeds
-    the draw.
-    """
+def _lane_walks(scenario, policy, reps, seed, edges, arrival_rate, walk):
+    """Run ``walk(rng, start, stop, stage, states, profits)`` on each lane and
+    return the profits net of the final delivery cost and the final-state
+    histogram. Lane k holds replications ``edges[k]`` to ``edges[k + 1]`` and
+    reads the PCG64DXSM stream seeded with ``seed``, advanced by
+    ``k * 2**64``; ``stage(t, state)`` gives the prices and the running sums
+    of the slot sale probabilities at a step."""
     rate = scenario.arrival_rate if arrival_rate is None else arrival_rate
     lat = scenario.lattice
-    full = tuple(scenario.capacities)
 
     @functools.lru_cache(maxsize=None)
     def stage(t, state):
@@ -376,22 +367,76 @@ def reference_simulation(scenario, policy, reps, seed, edges, arrival_rate=None)
     for k, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
         bits = np.random.PCG64DXSM(seed)
         bits.advance(k * 2**64)
-        rng = np.random.Generator(bits)
-        drawing = list(range(start, stop))
-        for t in range(scenario.horizon):
-            if t > 0 and t % RETIRE_EVERY == 0:
-                drawing = [i for i in drawing if states[i] != full]
-            for i in drawing:
-                u = rng.random()
-                prices, running = stage(t, states[i])
-                if u < running[-1]:
-                    s = next(j for j, c in enumerate(running) if u < c)
-                    profits[i] += scenario.net_revenue + prices[s]
-                    states[i] = _bump(states[i], s + 1)
+        walk(np.random.Generator(bits), start, stop, stage, states, profits)
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     for state in states:
         histogram[lat.index(state)] += 1
     return np.array([p - sp.cost(scenario, x) for p, x in zip(profits, states)]), histogram
+
+
+def _sell(scenario, i, t, u, stage, states, profits):
+    """Sell to replication ``i`` at step ``t`` if ``u`` lies below the sale
+    probability, to the first slot whose running sum exceeds ``u``."""
+    prices, running = stage(t, states[i])
+    if u < running[-1]:
+        s = next(j for j, c in enumerate(running) if u < c)
+        profits[i] += scenario.net_revenue + prices[s]
+        states[i] = _bump(states[i], s + 1)
+
+
+def reference_simulation(scenario, policy, reps, seed, edges, arrival_rate=None):
+    """Profits and final-state histogram of a scalar per-step walk, lane by lane.
+
+    At each step the lane's replications, in index order, take its next
+    ``random()`` draws, one each.
+    """
+
+    def walk(rng, start, stop, stage, states, profits):
+        for t in range(scenario.horizon):
+            for i in range(start, stop):
+                _sell(scenario, i, t, rng.random(), stage, states, profits)
+
+    return _lane_walks(scenario, policy, reps, seed, edges, arrival_rate, walk)
+
+
+def reference_event_simulation(scenario, policy, reps, seed, edges, arrival_rate=None):
+    """Profits and final-state histogram of a scalar thinned walk, lane by lane.
+
+    A state's bound q is its largest sale probability over the steps. Each
+    replication keeps the first step it has yet to pass, from 0. In each
+    round the lane's live replications, in index order, first draw one
+    ``standard_exponential()`` E each; the candidate is that step plus
+    ``floor(E / -log1p(-q))``. A replication past the horizon or with q = 0
+    draws nothing and finishes, as does one whose candidate is at or past the
+    horizon. Then the others, in index order, draw one ``random()`` U each,
+    sell at the candidate step as the per-step walk would at the draw
+    ``U * q``, and move past it.
+    """
+    horizon = scenario.horizon
+    bounds = {}
+
+    def walk(rng, start, stop, stage, states, profits):
+        def bound(state):
+            if state not in bounds:
+                bounds[state] = max((stage(t, state)[1][-1] for t in range(horizon)), default=0.0)
+            return bounds[state]
+
+        step = dict.fromkeys(range(start, stop), 0)
+        live = list(step)
+        while live:
+            live = [i for i in live if step[i] < horizon and bound(states[i]) > 0.0]
+            candidates = []
+            for i in live:
+                gap = rng.standard_exponential() / -math.log1p(-bound(states[i]))
+                if gap < horizon - step[i]:
+                    step[i] += math.floor(gap)
+                    candidates.append(i)
+            for i in candidates:
+                _sell(scenario, i, step[i], rng.random() * bound(states[i]), stage, states, profits)
+                step[i] += 1
+            live = candidates
+
+    return _lane_walks(scenario, policy, reps, seed, edges, arrival_rate, walk)
 
 
 def exact_policy_value(scenario, policy, arrival_rate=None):

@@ -327,3 +327,33 @@ def test_lattice_scans_match_brute_force():
         zero_bound += bound == 0.0
         positive_bound += 0.0 < bound < math.inf
     assert listed >= 1 and zero_bound >= 1 and positive_bound >= 1
+
+
+def test_a_micro_bump_breaks_concavity(table1, table1_solution, table1_enclosings):
+    # the interior state (2, 3) of the last layer has a rounding-level
+    # margin; lowering it by 1e-6 makes that margin about -1e-6, which a
+    # nonnegativity tolerance as loose as 1e-3 would pass
+    values, _ = table1_solution
+    t, ix = 200, table1.lattice.index((2, 3))
+    margins = table1_enclosings.margins(values.layer(t)[np.newaxis])[0]
+    assert abs(margins[table1_enclosings.targets == ix].min()) < 1e-12
+    bumped = values.values.copy()
+    bumped[t - 1, ix] -= 1e-6
+    report = sp.concavity_report(
+        table1, sp.ValueFunction(bumped, table1.fingerprint()), table1_enclosings
+    )
+    assert not report.all_nonnegative
+    assert -1.5e-6 < report.epsilon[t - 1] < -0.5e-6
+    assert min(report.epsilon[: t - 1]) >= -sp.analysis.NONNEGATIVITY_TOL
+
+
+def test_opportunity_cost_increase_of_1e_9_is_strict(table1):
+    # v(x) = -1e-9 x1 x2 raises each slot's opportunity cost by exactly 1e-9
+    # per order in the other slot: strict, though a strictness bound as
+    # loose as 1e-6 would call every pair a violation
+    x = table1.lattice.states_array
+    values = -1e-9 * (x[:, 0] * x[:, 1]).astype(float)
+    increase, valid = sp.analysis._opportunity_cost_increases(table1, values)
+    assert valid.any() and np.allclose(increase[valid], 1e-9, rtol=1e-6, atol=0.0)
+    assert sp.increasing_opportunity_cost_violations(table1, values) == []
+    assert len(sp.increasing_opportunity_cost_violations(table1, -values)) == valid.sum()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -244,3 +245,39 @@ def test_fingerprint_stability(table1):
     assert table1.fingerprint() == again.fingerprint()
     other = sp.load_scenario(_doc(horizon=100))
     assert table1.fingerprint() != other.fingerprint()
+
+
+def test_fractional_capacity_is_refused(table1):
+    # a truncated capacity would build a lattice that the fingerprint,
+    # which keeps the float, does not describe
+    for caps in ((2.5, 4), (4, True), (np.float64(4.0), 4)):
+        with pytest.raises(sp.ScenarioError, match=r"^capacities\[\d\] must be an integer"):
+            dataclasses.replace(table1, capacities=caps)
+    same = dataclasses.replace(table1, capacities=(np.int32(4), np.int64(4)))
+    assert same.capacities == (4, 4) and all(type(c) is int for c in same.capacities)
+    assert same.fingerprint() == table1.fingerprint()
+
+
+def test_fractional_horizon_is_refused(table1):
+    # a float horizon must fail here, naming the field, not later in the solver
+    for horizon in (2.0, 2.5, True, np.True_):
+        with pytest.raises(sp.ScenarioError, match="^horizon must be an integer"):
+            dataclasses.replace(table1, horizon=horizon)
+    same = dataclasses.replace(table1, horizon=np.int64(200))
+    assert type(same.horizon) is int and same.fingerprint() == table1.fingerprint()
+
+
+def test_fractional_state_is_refused(table1, table1_solution):
+    # a fractional coordinate must not be read as the state below it
+    values, _ = table1_solution
+    lat = table1.lattice
+    with pytest.raises(ValueError, match="integer coordinates"):
+        sp.cost(table1, (0.5, 0.5))
+    with pytest.raises(ValueError, match="integer coordinates"):
+        lat.index((np.float64(2.9), 1))
+    with pytest.raises(ValueError, match="integer coordinates"):
+        sp.solve_stage(table1, (0.7, 0.2), values.layer(2))
+    with pytest.raises(ValueError, match="integer coordinates"):
+        lat.check((True, 0))
+    assert lat.index((np.int64(2), np.int32(1))) == lat.index((2, 1)) == 7
+    assert sp.cost(table1, (np.int64(1), 1)) == sp.cost(table1, (1, 1))

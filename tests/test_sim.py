@@ -15,8 +15,17 @@ from oracles import (
     exact_policy_value,
     grid_stage_value,
     random_policy,
+    reference_event_simulation,
     reference_simulation,
 )
+
+# the setting of sim._STEPS_PER_CANDIDATE that forces each walk, with its
+# scalar reference: any horizon is at least 0 times the expected candidates,
+# and no horizon is infinitely many times a positive count
+WALKS = {
+    "steps": (math.inf, reference_simulation),
+    "events": (0.0, reference_event_simulation),
+}
 
 
 def test_all_closed_policy_is_deterministic(table1):
@@ -26,7 +35,47 @@ def test_all_closed_policy_is_deterministic(table1):
     assert result.std_error == 0.0
     assert result.final_state_histogram[0] == 500
     assert result.final_state_histogram.sum() == 500
-    assert result.generator == "numpy.random.PCG64DXSM/lanes"
+    # nothing can sell, so no candidate is expected and the event walk runs
+    assert result.generator == "numpy.random.PCG64DXSM/events"
+
+
+def _open4():
+    """The four-slot benchmark lattice, unjittered: 625 states, T=100."""
+    return sp.Scenario(
+        arrival_rate=0.5,
+        horizon=100,
+        price_min=0.0,
+        price_max=10.0,
+        net_revenue=1.0,
+        beta_const=1.0,
+        beta_price=-1.0,
+        slot_betas=(1.0, 0.5, 0.0, -0.5),
+        capacities=(4, 4, 4, 4),
+        cost=sp.AffineCost(2.0, (1.0, 1.5, 2.0, 2.5)),
+    )
+
+
+def test_walk_is_chosen_by_expected_candidates(table1, table1_solution):
+    # the example expects 8.0 candidate steps in 200 (25 steps each), open4
+    # about 25 in 100 (about 4 each), either side of the 5.5 of the rule
+    open4 = _open4()
+    for scenario, policy, walk in (
+        (table1, table1_solution[1], "events"),
+        (open4, sp.solve_horizon(open4)[1], "steps"),
+    ):
+        table = _policy_tables(scenario, policy, scenario.arrival_rate)
+        expected = sim._expected_candidates(scenario, table, table[:, -1].max(axis=0))
+        assert (scenario.horizon / expected > sim._STEPS_PER_CANDIDATE) == (walk == "events")
+        result = sp.simulate(scenario, policy, 100, seed=1)
+        assert result.generator == f"numpy.random.PCG64DXSM/{walk}"
+    table = _policy_tables(table1, table1_solution[1], table1.arrival_rate)
+    bound = table[:, -1].max(axis=0)
+    # the example's optimal prices sit at the cap, so its bound is its sale
+    # probability and the expected candidates are its expected sales, which
+    # the final-state distribution gives exactly
+    _, final = exact_policy_value(table1, table1_solution[1])
+    sales = final @ table1.lattice.states_array.sum(axis=1)
+    assert math.isclose(sim._expected_candidates(table1, table, bound), sales, rel_tol=1e-12)
 
 
 def test_seeded_reproducibility(table1, table1_solution):
@@ -233,23 +282,29 @@ def _lane_edges(reps, chunk):
 def test_lanes_match_reference_walk_at_any_cap(monkeypatch):
     longer = dataclasses.replace(clamped_three_slot_scenario(), horizon=21)
     _, policy = sp.solve_horizon(longer)
-    # at rate 0.9 over 400 rows are full by step 16 and retire there; caps
-    # of 3,000 and 4,096 rows make uneven lanes (10,001 at 4,096 into 3,333 +
-    # 3,334 + 3,334), and 7 rows make 1,429 lanes
-    for chunk in (7, 3000, 4096):
-        monkeypatch.setattr(sim, "_CHUNK", chunk)
-        profits, histogram = reference_simulation(
-            longer, policy, 10_001, 12, _lane_edges(10_001, chunk), arrival_rate=0.9
-        )
-        result = sp.simulate(longer, policy, 10_001, seed=12, arrival_rate=0.9, keep_profits=True)
-        assert np.array_equal(result.final_state_histogram, histogram)
-        assert np.max(np.abs(result.profits - profits)) <= 1e-12
+    # at rate 0.9 over 400 rows are full by step 16; caps of 3,000 and 4,096
+    # rows make uneven lanes (10,001 at 4,096 into 3,333 + 3,334 + 3,334),
+    # and 7 rows make 1,429 lanes
+    for walk, (ratio, reference) in WALKS.items():
+        monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+        for chunk in (7, 3000, 4096):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            profits, histogram = reference(
+                longer, policy, 10_001, 12, _lane_edges(10_001, chunk), arrival_rate=0.9
+            )
+            result = sp.simulate(
+                longer, policy, 10_001, seed=12, arrival_rate=0.9, keep_profits=True
+            )
+            assert result.generator.endswith(walk)
+            assert np.array_equal(result.final_state_histogram, histogram)
+            assert np.max(np.abs(result.profits - profits)) <= 1e-12
 
 
 def test_lane_that_fills_stops_walking(monkeypatch):
     # one slot of capacity 1 sells with probability above 0.94 per step at
-    # any price in the box, so every replication is full by step 16 and every
-    # lane retires whole there; prices drawn per step make profits differ
+    # any price in the box, so about one candidate step is expected in 200
+    # and the event walk runs; prices drawn per step make profits differ and
+    # some candidates fail to sell
     scenario = sp.Scenario(
         arrival_rate=0.99,
         horizon=200,
@@ -266,21 +321,31 @@ def test_lane_that_fills_stops_walking(monkeypatch):
     prices = closed.prices.copy()
     prices[:, scenario.lattice.index((0,)), 0] = np.random.default_rng(4).uniform(0.0, 2.0, 200)
     policy = sp.PricePolicy(prices, closed.values, closed.interior, closed.fingerprint)
-    fills = []
+    draws = {"standard_exponential": 0, "random": 0}
 
     class Counting(np.random.Generator):
         def random(self, *args, out=None, **kwargs):
-            fills.append(out.size)
+            draws["random"] += out.size
             return super().random(*args, out=out, **kwargs)
+
+        def standard_exponential(self, *args, out=None, **kwargs):
+            draws["standard_exponential"] += out.size
+            return super().standard_exponential(*args, out=out, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", Counting)
     result = sp.simulate(scenario, policy, 5_000, seed=3, keep_profits=True)
     monkeypatch.undo()
-    # two lanes of 2,500 rows, 16 fills each, then none
-    assert fills == [2_500] * 32
+    assert result.generator == "numpy.random.PCG64DXSM/events"
     full = scenario.lattice.index((1,))
     assert result.final_state_histogram[full] == 5_000
-    profits, histogram = reference_simulation(scenario, policy, 5_000, 3, _lane_edges(5_000, sim._CHUNK))
+    # every exponential led to a candidate before the horizon and so to a
+    # uniform: no row drew after its sale filled it. The rows failed to sell
+    # at the few candidates beyond the 5,000 sales.
+    assert draws["standard_exponential"] == draws["random"]
+    assert 5_000 < draws["random"] < 5_500
+    profits, histogram = reference_event_simulation(
+        scenario, policy, 5_000, 3, _lane_edges(5_000, sim._CHUNK)
+    )
     assert np.array_equal(result.final_state_histogram, histogram)
     assert np.max(np.abs(result.profits - profits)) <= 1e-12
     exact, _ = exact_policy_value(scenario, policy)
@@ -290,29 +355,34 @@ def test_lane_that_fills_stops_walking(monkeypatch):
 def test_results_do_not_depend_on_worker_count(table1, table1_solution, monkeypatch):
     _, policy = table1_solution
     # the default cap makes 2 lanes of 3,050 rows; 500 makes 13 of 469 or 470
-    for chunk in (sim._CHUNK, 500):
-        monkeypatch.setattr(sim, "_CHUNK", chunk)
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(sim, "_WORKERS", workers)
-            runs.append(sp.simulate(table1, policy, 6_100, seed=3, keep_profits=True))
-        one, two = runs
-        assert one.profits.tobytes() == two.profits.tobytes()
-        assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
-        assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
+    for ratio, _ in WALKS.values():
+        monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+        for chunk in (sim._CHUNK, 500):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            runs = []
+            for workers in (1, 2):
+                monkeypatch.setattr(sim, "_WORKERS", workers)
+                runs.append(sp.simulate(table1, policy, 6_100, seed=3, keep_profits=True))
+            one, two = runs
+            assert one.profits.tobytes() == two.profits.tobytes()
+            assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
+            assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
 
 
-def test_simulation_memory_stays_small(table1, table1_solution):
-    # per replication the walk keeps one draw, state and profit, not a
+def test_simulation_memory_stays_small(table1, table1_solution, monkeypatch):
+    # per replication the per-step walk keeps one draw, state and profit, and
+    # the event walk also a step, a revenue and a lane position, not a
     # (horizon, rows) buffer of draws per block
     _, policy = table1_solution
-    tracemalloc.start()
-    try:
-        sp.simulate(table1, policy, 200_000, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2**20
+    for ratio, _ in WALKS.values():
+        monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+        tracemalloc.start()
+        try:
+            sp.simulate(table1, policy, 200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 def test_statistics_do_not_depend_on_keeping_profits(table1, table1_solution, monkeypatch):
@@ -320,22 +390,24 @@ def test_statistics_do_not_depend_on_keeping_profits(table1, table1_solution, mo
     # lane moments are combined in lane order, so kept and lane-local profit
     # buffers give the same bits: 2 lanes at the default cap, 3 of 333 or 334
     # rows at 500 and 143 of 7 at 7
-    for chunk in (sim._CHUNK, 500, 7):
-        monkeypatch.setattr(sim, "_CHUNK", chunk)
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(sim, "_WORKERS", workers)
-            for keep in (True, False):
-                runs.append(sp.simulate(table1, policy, 1_001, seed=6, keep_profits=keep))
-        profits = runs[0].profits
-        assert all(run.profits is None for run in runs[1::2])
-        for run in runs:
-            assert run.mean_profit == runs[0].mean_profit
-            assert run.std_error == runs[0].std_error
-            assert run.final_state_histogram.tobytes() == runs[0].final_state_histogram.tobytes()
-        assert math.isclose(runs[0].mean_profit, np.mean(profits), rel_tol=1e-12)
-        std_error = np.std(profits, ddof=1) / math.sqrt(profits.size)
-        assert math.isclose(runs[0].std_error, std_error, rel_tol=1e-12)
+    for ratio, _ in WALKS.values():
+        monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+        for chunk in (sim._CHUNK, 500, 7):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            runs = []
+            for workers in (1, 2):
+                monkeypatch.setattr(sim, "_WORKERS", workers)
+                for keep in (True, False):
+                    runs.append(sp.simulate(table1, policy, 1_001, seed=6, keep_profits=keep))
+            profits = runs[0].profits
+            assert all(run.profits is None for run in runs[1::2])
+            for run in runs:
+                assert run.mean_profit == runs[0].mean_profit
+                assert run.std_error == runs[0].std_error
+                assert run.final_state_histogram.tobytes() == runs[0].final_state_histogram.tobytes()
+            assert math.isclose(runs[0].mean_profit, np.mean(profits), rel_tol=1e-12)
+            std_error = np.std(profits, ddof=1) / math.sqrt(profits.size)
+            assert math.isclose(runs[0].std_error, std_error, rel_tol=1e-12)
 
 
 def test_simulation_memory_does_not_grow_with_reps(table1, monkeypatch):
@@ -346,15 +418,17 @@ def test_simulation_memory_does_not_grow_with_reps(table1, monkeypatch):
     short = dataclasses.replace(table1, horizon=12)
     _, policy = sp.solve_horizon(short)
     monkeypatch.setattr(sim, "_WORKERS", 1)
-    peaks = []
-    for reps in (200_000, 2_000_000):
-        tracemalloc.start()
-        try:
-            sp.simulate(short, policy, reps, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2**20
+    for ratio, _ in WALKS.values():
+        monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+        peaks = []
+        for reps in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                sp.simulate(short, policy, reps, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
 
 def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monkeypatch):
@@ -372,20 +446,25 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
         (table1, optimal, 0.9, 300, 2**128 - 1),  # the top of the seed range
     ]
     for scenario, policy, rate, reps, seed in cases:
-        # small caps put many lanes, each on its own advanced stream, on both
-        # workers; horizon 200 crosses 12 retirement checkpoints
-        for chunk in (sim._CHUNK, 7, 64):
-            edges = _lane_edges(reps, chunk)
-            profits, histogram = reference_simulation(
-                scenario, policy, reps, seed, edges, arrival_rate=rate
-            )
-            monkeypatch.setattr(sim, "_CHUNK", chunk)
-            result = sp.simulate(
-                scenario, policy, reps, seed=seed, arrival_rate=rate, keep_profits=True
-            )
-            assert np.array_equal(result.final_state_histogram, histogram)
-            assert np.max(np.abs(result.profits - profits)) <= 1e-12
-        monkeypatch.undo()
+        for walk, (ratio, reference) in WALKS.items():
+            monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+            # small caps put many lanes, each on its own advanced stream, on
+            # one worker and on both
+            for chunk in (sim._CHUNK, 7, 64):
+                edges = _lane_edges(reps, chunk)
+                profits, histogram = reference(
+                    scenario, policy, reps, seed, edges, arrival_rate=rate
+                )
+                monkeypatch.setattr(sim, "_CHUNK", chunk)
+                for workers in (1, 2):
+                    monkeypatch.setattr(sim, "_WORKERS", workers)
+                    result = sp.simulate(
+                        scenario, policy, reps, seed=seed, arrival_rate=rate, keep_profits=True
+                    )
+                    assert result.generator.endswith(walk)
+                    assert np.array_equal(result.final_state_histogram, histogram)
+                    assert np.max(np.abs(result.profits - profits)) <= 1e-12
+            monkeypatch.undo()
 
 
 def test_exact_policy_value_reproduces_solved_layer(table1, table1_solution):

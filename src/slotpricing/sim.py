@@ -8,8 +8,9 @@ solved value at the initial state. The sale probabilities come from the
 model's logit kernel, so an overflowing utility raises the same error here
 as in the solver.
 
-Replications run in near-equal lanes on two threads, each lane on its own
-PCG64DXSM substream, and one of two walks draws their sales:
+Replications run in near-equal lanes, each on its own PCG64DXSM substream,
+walked by the calling thread and one helper, and one of two walks draws
+their sales:
 
 - the per-step walk draws one uniform per replication and step;
 - the event walk samples the same law by thinning (Lewis & Shedler, Naval
@@ -20,16 +21,18 @@ PCG64DXSM substream, and one of two walks draws their sales:
 
 The event walk's work grows with the candidates, not with the horizon, so
 ``simulate`` runs it when the horizon is long against a replication's
-expected candidates. A lane needs no lock: it walks into its own profit
-buffer and returns its final-state counts and profit moments, which are
-combined in lane order. So memory is bounded by the lanes in flight, not by
-the replication count, unless the profits of every replication are kept.
+expected candidates, in lanes a quarter as wide, each walked as one block.
+A lane needs no lock: it walks into its own profit buffer and returns its
+final-state counts and profit moments, which are combined in lane order. So
+memory is bounded by the lanes in flight, one per thread, not by the
+replication count, unless the profits of every replication are kept.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,19 +42,17 @@ from .dp import PricePolicy
 from .model import Scenario, _integral, _logit_weights, cost_values
 
 GENERATOR = "numpy.random.PCG64DXSM"  # the label appends the walk, /steps or /events
-# Most replications per lane. A lane holds a few numbers per replication,
-# so wide lanes cost little memory and spread the per-step or per-round
-# numpy overhead over many rows. The lane count depends on ``reps`` alone and
-# each lane reads its own substream, so results do not depend on _WORKERS,
-# the threads that walk lanes at once; they do depend on this cap. On a
-# 2-core host, best of 7 (median in brackets): the paper example (200,000
-# replications, event walk) took 0.047 (0.049) s in four lanes of 50,000
-# rows on two threads, 0.045 (0.047) s on one thread and 0.054 (0.056) s in
-# lanes of 16,384 rows; open4 (500,000 replications, per-step walk) took
-# 0.24 (0.26), 0.35 (0.40) and 0.33 (0.39) s. The policy table is built in
-# blocks of at most this many entries, and the event walk holds its live
-# rows in parts of at most a quarter of it, so their temporaries are no
-# larger than a lane's.
+# Most replications per lane of the per-step walk; an event lane and a block
+# of the policy table take at most a quarter of it. The lane count depends on
+# ``reps`` and the walk alone and each lane reads its own substream, so
+# results do not depend on _WORKERS, the threads that walk lanes at once;
+# they do depend on this cap. Wide lanes spread the per-step numpy overhead
+# over many rows, while an event lane holds all its live rows at once, about
+# 80 bytes a row. On a 2-core host, best of 7 in the quietest of six rounds:
+# the paper example (200,000 replications, event walk) took 0.034 s in 13
+# lanes of at most 16,384 rows on two threads, 0.046 s on one and 0.031 s in
+# lanes of 65,536; open4 (500,000 replications, per-step walk) took 0.22,
+# 0.34 and, in lanes of 16,384 rows, 0.31 s.
 _CHUNK = 65_536
 _WORKERS = 2
 # The event walk runs when the horizon is at least this many times the
@@ -93,8 +94,9 @@ def _policy_tables(scenario: Scenario, policy: PricePolicy, arrival_rate: float)
     falls on some slot <= j + 1; ``table[t - 1, -1, ix]`` is the state's sale
     probability, and a draw at or above it means no sale. Closed slots add
     no mass, so they are never selected. The table is filled in blocks of
-    steps of at most ``_CHUNK`` (step, state, slot) entries (one step when a
-    step has more), so the logit temporaries are the size of one block.
+    steps of at most ``ceil(_CHUNK / 4)`` (step, state, slot) entries (one
+    step when a step has more), so the logit temporaries are no larger than
+    an event lane's arrays.
     """
     prices = policy.prices
     if not (
@@ -106,7 +108,7 @@ def _policy_tables(scenario: Scenario, policy: PricePolicy, arrival_rate: float)
     if np.any(open_mask & (scenario.lattice.neighbours < 0)):
         raise ValueError("policy offers a slot that is at capacity")
     table = np.empty((scenario.horizon, scenario.n_slots, scenario.lattice.n_states))
-    steps = max(1, _CHUNK // (scenario.n_slots * scenario.lattice.n_states))
+    steps = max(1, -(-_CHUNK // 4) // (scenario.n_slots * scenario.lattice.n_states))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(0, scenario.horizon, steps):
             block = slice(t, t + steps)
@@ -163,11 +165,13 @@ def simulate(
     """Estimate the expected booking-horizon profit of ``policy``.
 
     Bit-reproducible for a fixed ``seed`` and ``reps``. The replications
-    split into ``min(reps, max(2, ceil(reps / _CHUNK)))`` near-equal
-    contiguous lanes. Lane k reads the PCG64DXSM stream seeded with ``seed``,
-    advanced by ``k * 2**64``; each uniform takes one 64-bit output. A
-    replication's draws depend on ``reps`` and on the lane cap as well as on
-    ``seed``. One of two walks runs every lane:
+    split into ``min(reps, max(2, ceil(reps / cap)))`` near-equal contiguous
+    lanes, where the cap is ``_CHUNK`` rows under the per-step walk and
+    ``ceil(_CHUNK / 4)`` under the event walk. Lane k reads the PCG64DXSM
+    stream seeded with ``seed``, advanced by ``k * 2**64``; each uniform
+    takes one 64-bit output. A replication's draws depend on ``reps``, the
+    walk and the lane cap as well as on ``seed``. One of two walks runs
+    every lane:
 
     - **steps**: at each booking step the lane's replications take its next
       uniforms in index order. A replication sells when its uniform lies
@@ -189,22 +193,25 @@ def simulate(
     forward pass of the state distribution; its label ends in ``/events``,
     the other's in ``/steps``.
 
-    ``_WORKERS`` threads walk the lanes. A lane walks into a profit buffer:
-    a view of the kept profits with ``keep_profits``, else an array of its
-    own, freed when it returns. It returns its final-state counts, its
-    profit sum and its sum of squared deviations about its own mean. The
-    counts are summed as integers and the moments combined in lane order by
-    the pairwise update of Chan, Golub & LeVeque, so the mean, standard
-    error and histogram depend neither on the thread that ran a lane nor on
-    ``keep_profits``, and memory grows with ``reps`` only when the profits
-    are kept. ``arrival_rate`` optionally overrides the scenario's rate (0.0
-    is allowed here, unlike in the solver). ``ValueError`` is raised, before
-    any allocation or thread, when ``reps`` or ``seed`` is not an integer
-    (bools included), when ``arrival_rate`` is not a real number (str, bytes
-    and bools included), when ``reps`` is below 1, ``seed`` lies outside
-    ``[0, 2**128)`` or ``arrival_rate`` outside ``[0, 1)``; when a logit
-    weight or a state's sum of weights overflows the float range; and, after
-    the walk, when the mean or the standard error of the profit does.
+    The calling thread and ``_WORKERS - 1`` helper threads walk the lanes,
+    thread i lanes i, i + _WORKERS, ... one at a time. A lane walks into a
+    profit buffer: a view of the kept profits with ``keep_profits``, else an
+    array of its own, freed when it returns. It returns its final-state
+    counts, its profit sum and its sum of squared deviations about its own
+    mean. The counts are summed as integers and the moments combined in lane
+    order by the pairwise update of Chan, Golub & LeVeque, so the mean,
+    standard error and histogram depend neither on the thread that ran a
+    lane nor on ``keep_profits``, and memory grows with ``reps`` only when
+    the profits are kept. A lane's exception ends its thread's walk and is
+    raised here, the first in lane order, once every helper has stopped.
+    ``arrival_rate`` overrides the scenario's rate (0.0 is allowed here,
+    unlike in the solver). ``ValueError`` is raised, before any allocation
+    or thread, when ``reps`` or ``seed`` is not an integer (bools included),
+    when ``arrival_rate`` is not a real number (str, bytes and bools too),
+    when ``reps`` is below 1, ``seed`` lies outside ``[0, 2**128)`` or
+    ``arrival_rate`` outside ``[0, 1)``; when a logit weight or a state's
+    sum of weights overflows the float range; and, after the walk, when the
+    mean or the standard error of the profit does.
     """
     reps, seed = _integer("reps", reps), _integer("seed", seed)
     if reps < 1:
@@ -259,7 +266,9 @@ def simulate(
         profit -= costs.take(states)
         return np.bincount(states, minlength=lat.n_states), u
 
-    if use_events:
+    def events(rng, profit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jump the lane's live rows, one block, to their next candidate steps
+        round by round; return the final-state counts and a spent buffer."""
         rate = -np.log1p(-bound)  # a state's candidate steps are Bernoulli(bound)
         live = bound > 0.0  # something sells here at some step
         table = thresholds.reshape(-1)  # flat (step, slot, state) index
@@ -267,118 +276,109 @@ def simulate(
         stride = n_slots * lat.n_states  # one step of either table
         last = (n_slots - 1) * lat.n_states  # the last slot's offset in a step
         targets = lat.neighbours.reshape(-1)  # by (state, slot) pair
-        block = -(-_CHUNK // 4)  # most rows in a part of a lane's live rows
-
-    def sell(u: np.ndarray, states: np.ndarray, step: np.ndarray, gained: np.ndarray) -> None:
-        """Settle the candidate steps of a part of the live rows in place:
-        ``u`` holds their uniforms times their bounds."""
-        # every row is priced as if it sold, and only the sales keep it: a
-        # row that does not sell counts every threshold below the last
-        at = step.astype(np.int64)
-        at *= stride
-        at += states
-        at += last  # (candidate step, last slot, state) in the threshold table
-        sold = u < table.take(at)  # the last threshold is the sale probability
-        # each row's (state, slot) pair, the slot being the count of
-        # thresholds at or below u
-        pair = np.multiply(states, n_slots, dtype=np.int64)
-        for _ in range(n_slots - 1):
-            at -= lat.n_states
-            pair += table.take(at) <= u
-        at -= states
-        at += pair  # (candidate step, state, slot) in the price table
-        gain = price_table.take(at)
-        del at
-        gain += scenario.net_revenue
-        np.add(gained, gain, out=gained, where=sold)
-        del gain
-        np.copyto(states, targets.take(pair), where=sold)
-
-    def events(rng, profit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jump each live replication to its next candidate step, round by
-        round; return the final-state counts and a lane-sized buffer.
-
-        The live rows are held in parts of at most a quarter lane, walked in
-        index order, and each part settles its finished rows at once, so
-        every temporary, compactions included, is the size of a part.
-        """
         counts = np.zeros(lat.n_states, dtype=np.int64)
-        n_parts = -(-profit.size // block)
-        edges = [k * profit.size // n_parts for k in range(n_parts + 1)]
-        parts = [  # lane positions, states, first steps not yet passed, revenues
-            (np.arange(lo, hi, dtype=np.int32), np.zeros(hi - lo, dtype=np.int32))
-            + (np.zeros(hi - lo), np.zeros(hi - lo))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        buf = np.empty(min(block, profit.size))
-        while parts:
-            for i, (rows, states, step, gained) in enumerate(parts):
-                # rows past the horizon or in a state where nothing sells draw
-                # no exponential and finish with the rows whose candidate is late
-                draw = step < horizon
-                draw &= live.take(states)
-                k = np.count_nonzero(draw)
-                e = rng.standard_exponential(out=buf[:k])
-                if k < rows.size:
-                    e = np.full(rows.size, np.inf)
-                    e[draw] = buf[:k]
-                del draw
-                with np.errstate(over="ignore"):  # a tiny rate jumps past the horizon
-                    e /= rate.take(states)
-                step += np.floor(e, out=e)  # now the candidate step
-                del e
-                gone = step >= horizon
-                if gone.any():
-                    done = np.flatnonzero(gone)
-                    at = states.take(done)
-                    profit[rows.take(done)] = gained.take(done) - costs.take(at)
-                    counts += np.bincount(at, minlength=lat.n_states)
-                    keep = np.flatnonzero(~gone)
-                    parts[i] = tuple(a.take(keep) for a in (rows, states, step, gained))
-                    del done, at, keep
-                del gone
-            parts = [part for part in parts if part[0].size]
-            if len(parts) > 1 and sum(part[0].size for part in parts) <= block:
-                parts = [tuple(np.concatenate(a) for a in zip(*parts))]
-            for rows, states, step, gained in parts:
-                u = rng.random(out=buf[: rows.size])
-                u *= bound.take(states)
-                sell(u, states, step, gained)
-                step += 1.0
-        return counts, np.empty(profit.size)
-
-    lane_walk = events if use_events else steps
+        # lane positions, states, first steps not yet passed, revenues
+        rows, states = np.arange(profit.size, dtype=np.int32), np.zeros(profit.size, dtype=np.int32)
+        step, gained, buf = np.zeros(profit.size), np.zeros(profit.size), np.empty(profit.size)
+        while True:
+            # rows past the horizon or in a state where nothing sells draw no
+            # exponential and finish with the rows whose candidate is late
+            draw = step < horizon
+            draw &= live.take(states)
+            k = np.count_nonzero(draw)
+            e = rng.standard_exponential(out=buf[:k])
+            if k < rows.size:
+                e = np.full(rows.size, np.inf)
+                e[draw] = buf[:k]
+            del draw
+            with np.errstate(over="ignore"):  # a tiny rate jumps past the horizon
+                e /= rate.take(states)
+            step += np.floor(e, out=e)  # now the candidate step
+            del e
+            gone = step >= horizon
+            if gone.any():
+                done = np.flatnonzero(gone)
+                at = states.take(done)
+                profit[rows.take(done)] = gained.take(done) - costs.take(at)
+                counts += np.bincount(at, minlength=lat.n_states)
+                keep = np.flatnonzero(~gone)
+                rows, states, step, gained = (a.take(keep) for a in (rows, states, step, gained))
+                del done, at, keep
+            del gone
+            if not rows.size:
+                return counts, buf
+            u = rng.random(out=buf[: rows.size])
+            u *= bound.take(states)  # the candidates' draws, settled in place:
+            # every row is priced as if it sold, and only the sales keep it;
+            # a row that does not sell counts every threshold below the last
+            at = step.astype(np.int64)
+            at *= stride
+            at += states
+            at += last  # (candidate step, last slot, state) in the threshold table
+            sold = u < table.take(at)  # the last threshold is the sale probability
+            # each row's (state, slot) pair, the slot being the count of
+            # thresholds at or below u
+            pair = np.multiply(states, n_slots, dtype=np.int64)
+            for _ in range(n_slots - 1):
+                at -= lat.n_states
+                pair += table.take(at) <= u
+            at -= states
+            at += pair  # (candidate step, state, slot) in the price table
+            gain = price_table.take(at)
+            del at, u
+            gain += scenario.net_revenue
+            np.add(gained, gain, out=gained, where=sold)
+            del gain
+            np.copyto(states, targets.take(pair), where=sold)
+            del sold, pair
+            step += 1.0
 
     def walk(lane: int, start: int, stop: int) -> tuple[np.ndarray, float, float]:
         """Walk replications ``start`` to ``stop``; return their final-state
         counts, their profit sum and their profits' sum of squared deviations
         about their own mean."""
-        bits = np.random.PCG64DXSM(seed)
-        bits.advance(lane << 64)
+        rng = np.random.Generator(np.random.PCG64DXSM(seed).advance(lane << 64))
         profit = np.zeros(stop - start) if profits is None else profits[start:stop]
-        counts, spare = lane_walk(np.random.Generator(bits), profit)
+        counts, spare = (events if use_events else steps)(rng, profit)
         with np.errstate(over="ignore", invalid="ignore"):  # simulate raises on a non-finite result
             total = float(np.sum(profit))
             deviation = np.subtract(profit, total / profit.size, out=spare)
             return counts, total, float(np.sum(np.square(deviation, out=deviation)))
 
-    from concurrent.futures import ThreadPoolExecutor  # lazy: keeps it out of the import
-
-    lanes = min(reps, max(2, -(-reps // _CHUNK)))
+    cap = -(-_CHUNK // 4) if use_events else _CHUNK  # most rows in a lane
+    lanes = min(reps, max(2, -(-reps // cap)))
     edges = [k * reps // lanes for k in range(lanes + 1)]
+    lane_runs: list = [None] * lanes
+
+    def run(first: int) -> None:
+        """Walk lanes ``first``, ``first + _WORKERS``, ... into ``lane_runs``;
+        a lane that raises stores its exception there and ends the run."""
+        try:
+            for k in range(first, lanes, _WORKERS):
+                lane_runs[k] = walk(k, edges[k], edges[k + 1])
+        except BaseException as exc:  # raised by the caller, in lane order
+            lane_runs[k] = exc
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, min(_WORKERS, lanes))]
+    for helper in helpers:
+        helper.start()
+    run(0)  # stores, never raises, so every helper is joined
+    for helper in helpers:
+        helper.join()
     histogram = np.zeros(lat.n_states, dtype=np.int64)
     total = squares = 0.0  # profit sum and squared deviations of the first ``seen`` rows
     seen = 0
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        lane_runs = pool.map(walk, range(lanes), edges[:-1], edges[1:])
-        for size, (counts, lane_total, lane_squares) in zip(np.diff(edges).tolist(), lane_runs):
-            histogram += counts
-            if seen:  # the pairwise update of Chan, Golub & LeVeque (1979)
-                delta = lane_total / size - total / seen
-                lane_squares += delta * delta * seen * size / (seen + size)
-            total += lane_total
-            squares += lane_squares
-            seen += size
+    for size, lane_run in zip(np.diff(edges).tolist(), lane_runs):
+        if isinstance(lane_run, BaseException):
+            raise lane_run
+        counts, lane_total, lane_squares = lane_run
+        histogram += counts
+        if seen:  # the pairwise update of Chan, Golub & LeVeque (1979)
+            delta = lane_total / size - total / seen
+            lane_squares += delta * delta * seen * size / (seen + size)
+        total += lane_total
+        squares += lane_squares
+        seen += size
     mean = total / reps
     std_error = math.sqrt(squares / (reps - 1)) / math.sqrt(reps) if reps > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std_error)):

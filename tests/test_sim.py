@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -273,9 +275,12 @@ def test_overflowing_logit_is_rejected(table1):
                 sp.simulate(big, policy, 1000, seed=1)
 
 
-def _lane_edges(reps, chunk):
-    """Edges of the near-equal lanes that ``simulate`` splits ``reps`` into."""
-    lanes = min(reps, max(2, -(-reps // chunk)))
+def _lane_edges(reps, chunk, walk):
+    """Edges of the near-equal lanes that ``simulate`` splits ``reps`` into:
+    at most ``chunk`` rows for the per-step walk, ``ceil(chunk / 4)`` for the
+    event walk."""
+    cap = -(-chunk // 4) if walk == "events" else chunk
+    lanes = min(reps, max(2, -(-reps // cap)))
     return [k * reps // lanes for k in range(lanes + 1)]
 
 
@@ -283,14 +288,15 @@ def test_lanes_match_reference_walk_at_any_cap(monkeypatch):
     longer = dataclasses.replace(clamped_three_slot_scenario(), horizon=21)
     _, policy = sp.solve_horizon(longer)
     # at rate 0.9 over 400 rows are full by step 16; caps of 3,000 and 4,096
-    # rows make uneven lanes (10,001 at 4,096 into 3,333 + 3,334 + 3,334),
-    # and 7 rows make 1,429 lanes
+    # rows make uneven lanes (10,001 at 4,096 into 3,333 + 3,334 + 3,334 per
+    # step, 10 lanes of 1,000 or 1,001 rows per event), and 7 rows make 1,429
+    # lanes per step, 5,001 per event
     for walk, (ratio, reference) in WALKS.items():
         monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
         for chunk in (7, 3000, 4096):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
             profits, histogram = reference(
-                longer, policy, 10_001, 12, _lane_edges(10_001, chunk), arrival_rate=0.9
+                longer, policy, 10_001, 12, _lane_edges(10_001, chunk, walk), arrival_rate=0.9
             )
             result = sp.simulate(
                 longer, policy, 10_001, seed=12, arrival_rate=0.9, keep_profits=True
@@ -344,7 +350,7 @@ def test_lane_that_fills_stops_walking(monkeypatch):
     assert draws["standard_exponential"] == draws["random"]
     assert 5_000 < draws["random"] < 5_500
     profits, histogram = reference_event_simulation(
-        scenario, policy, 5_000, 3, _lane_edges(5_000, sim._CHUNK)
+        scenario, policy, 5_000, 3, _lane_edges(5_000, sim._CHUNK, "events")
     )
     assert np.array_equal(result.final_state_histogram, histogram)
     assert np.max(np.abs(result.profits - profits)) <= 1e-12
@@ -354,19 +360,54 @@ def test_lane_that_fills_stops_walking(monkeypatch):
 
 def test_results_do_not_depend_on_worker_count(table1, table1_solution, monkeypatch):
     _, policy = table1_solution
-    # the default cap makes 2 lanes of 3,050 rows; 500 makes 13 of 469 or 470
+    # 6,100 rows make 2 lanes of 3,050 at the default cap; at 500 they make
+    # 13 lanes per step and 49 per event, so each thread walks several. One
+    # row makes one lane, fewer than the threads. Three threads on two cores,
+    # switching every 10 us, finish lanes out of turn; lane order must hold.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for ratio, _ in WALKS.values():
+            monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
+            for chunk in (sim._CHUNK, 500):
+                monkeypatch.setattr(sim, "_CHUNK", chunk)
+                for reps in (6_100, 1):
+                    runs = []
+                    for workers in (1, 2, 3):
+                        monkeypatch.setattr(sim, "_WORKERS", workers)
+                        runs.append(sp.simulate(table1, policy, reps, seed=3, keep_profits=True))
+                    for run in runs[1:]:
+                        assert run.profits.tobytes() == runs[0].profits.tobytes()
+                        assert run.final_state_histogram.tobytes() == runs[0].final_state_histogram.tobytes()
+                        assert run.mean_profit == runs[0].mean_profit
+                        assert run.std_error == runs[0].std_error
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_lane_error_reaches_the_caller(table1, table1_solution, monkeypatch, failing):
+    # a lane that raises on either thread raises from simulate, and only
+    # once every helper thread has stopped
+    _, policy = table1_solution
+    caller = threading.current_thread()
+    before = set(threading.enumerate())
+
+    class Failing(np.random.Generator):
+        def random(self, *args, **kwargs):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError(f"lane on the {failing} failed")
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    monkeypatch.setattr(sim, "_CHUNK", 500)
     for ratio, _ in WALKS.values():
         monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
-        for chunk in (sim._CHUNK, 500):
-            monkeypatch.setattr(sim, "_CHUNK", chunk)
-            runs = []
-            for workers in (1, 2):
-                monkeypatch.setattr(sim, "_WORKERS", workers)
-                runs.append(sp.simulate(table1, policy, 6_100, seed=3, keep_profits=True))
-            one, two = runs
-            assert one.profits.tobytes() == two.profits.tobytes()
-            assert one.final_state_histogram.tobytes() == two.final_state_histogram.tobytes()
-            assert one.mean_profit == two.mean_profit and one.std_error == two.std_error
+        for workers in (2, 3):
+            monkeypatch.setattr(sim, "_WORKERS", workers)
+            with pytest.raises(RuntimeError, match=f"^lane on the {failing} failed$"):
+                sp.simulate(table1, policy, 6_100, seed=3)
+            assert set(threading.enumerate()) == before
 
 
 def test_simulation_memory_stays_small(table1, table1_solution, monkeypatch):
@@ -389,7 +430,8 @@ def test_statistics_do_not_depend_on_keeping_profits(table1, table1_solution, mo
     _, policy = table1_solution
     # lane moments are combined in lane order, so kept and lane-local profit
     # buffers give the same bits: 2 lanes at the default cap, 3 of 333 or 334
-    # rows at 500 and 143 of 7 at 7
+    # rows per step and 9 of 111 or 112 per event at 500, and 143 of 7 per
+    # step and 501 of 1 or 2 per event at 7
     for ratio, _ in WALKS.values():
         monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
         for chunk in (sim._CHUNK, 500, 7):
@@ -413,8 +455,9 @@ def test_statistics_do_not_depend_on_keeping_profits(table1, table1_solution, mo
 def test_simulation_memory_does_not_grow_with_reps(table1, monkeypatch):
     # without kept profits a run holds the lanes in flight, not an array per
     # replication; ten times the replications only widen the lanes from
-    # 50,000 rows to 64,516. One thread, so the peak does not depend on how
-    # two threads' steps happen to interleave.
+    # 50,000 rows to 64,516 per step and from 15,385 to 16,261 per event. One
+    # thread, so the peak does not depend on how two threads' steps happen
+    # to interleave.
     short = dataclasses.replace(table1, horizon=12)
     _, policy = sp.solve_horizon(short)
     monkeypatch.setattr(sim, "_WORKERS", 1)
@@ -431,6 +474,26 @@ def test_simulation_memory_does_not_grow_with_reps(table1, monkeypatch):
         assert peaks[1] <= peaks[0] + 2**20
 
 
+def test_event_walk_holds_one_lane(table1, table1_solution, monkeypatch):
+    # 200,000 rows make 13 event lanes of at most ceil(_CHUNK / 4) = 16,384
+    # rows, and one thread holds one lane at a time: 40 bytes a row that
+    # live through the walk (profit, lane position, state, step, revenue and
+    # a draw buffer) and at most as many again in a round's temporaries,
+    # beside the threshold table. The warm-up call fills the scenario's
+    # caches, which outlive the run.
+    _, policy = table1_solution
+    monkeypatch.setattr(sim, "_WORKERS", 1)
+    assert sp.simulate(table1, policy, 200_000, seed=1).generator.endswith("events")
+    tracemalloc.start()
+    try:
+        sp.simulate(table1, policy, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = policy.prices.size * 8  # (step, slot, state) float thresholds
+    assert peak < -(-sim._CHUNK // 4) * 80 + table
+
+
 def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monkeypatch):
     _, optimal = table1_solution
     clamped = clamped_three_slot_scenario()
@@ -444,19 +507,20 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
         (clamped, sp.solve_horizon(clamped)[1], None, 3000, 17),
         (longer, random_policy(longer, rng), None, 3000, 17),
         (table1, optimal, 0.9, 300, 2**128 - 1),  # the top of the seed range
+        (table1, optimal, 0.9, 1, 17),  # one lane, fewer than the threads
     ]
     for scenario, policy, rate, reps, seed in cases:
         for walk, (ratio, reference) in WALKS.items():
             monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
             # small caps put many lanes, each on its own advanced stream, on
-            # one worker and on both
+            # one, two and three threads
             for chunk in (sim._CHUNK, 7, 64):
-                edges = _lane_edges(reps, chunk)
+                edges = _lane_edges(reps, chunk, walk)
                 profits, histogram = reference(
                     scenario, policy, reps, seed, edges, arrival_rate=rate
                 )
                 monkeypatch.setattr(sim, "_CHUNK", chunk)
-                for workers in (1, 2):
+                for workers in (1, 2, 3):
                     monkeypatch.setattr(sim, "_WORKERS", workers)
                     result = sp.simulate(
                         scenario, policy, reps, seed=seed, arrival_rate=rate, keep_profits=True

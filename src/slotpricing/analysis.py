@@ -2,13 +2,13 @@
 
 A lattice function is concave-extensible exactly when it never falls below a
 convex-combination interpolation of its own values. The enumeration here
-builds, once per scenario, every ``n_slots + 1``-point lattice simplex that
-contains another lattice state, with that state's exact convex weights. Every
-capacity is at least 1, so the lattice is full-dimensional and a smaller
-affinely independent support (Caratheodory) extends to a simplex by
-zero-weight vertices. The worst interpolation margin is then a cheap
-per-layer sweep, and its sign certifies concave-extensibility on lattice
-supports.
+builds, once per scenario, every distinct combination of a lattice state by
+other lattice points, on the first ``n_slots + 1``-point simplex that holds
+it, with exact weights. Every capacity is at least 1, so the lattice is
+full-dimensional and a smaller affinely independent support (Caratheodory)
+extends to a simplex by zero-weight vertices. The worst interpolation margin
+is then a per-layer sweep, re-evaluated exactly in integers, and its sign
+certifies concave-extensibility on lattice supports.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -32,8 +31,8 @@ MAX_ENUM_CANDIDATES = 8_000_000
 # Margins this far below zero count as genuine concavity violations; smaller
 # dips are indistinguishable from float roundoff in the layer values.
 NONNEGATIVITY_TOL = 1e-9
-# The margin sweep takes as many layers at a time as keep each of its
-# temporary arrays near this size, 1 MiB.
+# The margin sweep takes layers in near-equal blocks (a short last one left more
+# heap resident) that keep each of its temporary arrays near this size, 1 MiB.
 _SWEEP_BYTES = 1 << 20
 
 
@@ -80,8 +79,9 @@ class EnclosingSets(Mapping):
     ``support[r]`` with exact weights ``numerators[r] / denominators[r]``
     (non-negative integers over the simplex's absolute determinant);
     ``weights[r]`` holds them as floats. Rows run by target, then by support
-    in lexicographic index order. Mapping interface: ``sets[state]`` is the
-    tuple of combinations enclosing that state (empty at lattice corners).
+    in lexicographic index order, one per target and set of positive-weight
+    vertices, on the first such simplex. Mapping interface: ``sets[state]``
+    is the tuple of combinations enclosing that state (empty at corners).
     """
 
     def __init__(self, scenario: Scenario, targets, support, numerators, denominators):
@@ -138,12 +138,13 @@ def enumerate_enclosings(scenario: Scenario) -> EnclosingSets:
     numerators of all states at once are ``cofactors @ [x | 1]``. A state
     other than a vertex is enclosed when its numerators all share the
     determinant's sign (degenerate simplices enclose nothing). Smaller
-    supports are left out: a zero-weight vertex extends each to a simplex
-    with the same interpolation, so no state's worst margin changes. The
-    geometry depends only on the capacities, so one enumeration serves every
-    layer. Lattices above ``MAX_ENUM_CANDIDATES`` (8,000,000) (simplex,
-    state) pairs are refused up front; every lattice above 252 states is
-    among them.
+    supports are left out, as a zero-weight vertex extends each to a simplex
+    with the same interpolation; so are all but the first simplex giving a
+    target the same positive-weight vertices, as a zero-weight term adds 0.0
+    and their float margins agree bit for bit. The geometry depends only on
+    the capacities, so one enumeration serves every layer. Lattices above
+    ``MAX_ENUM_CANDIDATES`` (8,000,000) (simplex, state) pairs are refused up
+    front; every lattice above 252 states is among them.
     """
     lat = scenario.lattice
     n_states, dim = lat.n_states, scenario.n_slots + 1
@@ -167,8 +168,17 @@ def enumerate_enclosings(scenario: Scenario) -> EnclosingSets:
     enclosed = (numerators >= 0).all(axis=1) & (det != 0)[:, np.newaxis]
     enclosed[np.arange(len(simplices))[:, np.newaxis], simplices] = False
     targets, rows = np.nonzero(enclosed.T)
+    support, numerators = simplices[rows], numerators[rows, :, targets]
+    # Code each target and its positive-weight vertices as the base n_states + 1
+    # digits target + 1, q + 1, ...; a dict filled from the last row back keeps
+    # each code's first row (numpy's int sorts page in 0.4 MiB more of its code).
+    code = targets + 1
+    for column, positive in zip(support.T, (numerators > 0).T):
+        code = np.where(positive, code * (n_states + 1) + column + 1, code)
+    codes = code.tolist()
+    first = np.array(sorted(dict(zip(codes[::-1], range(len(codes))[::-1])).values()))
     return EnclosingSets(
-        scenario, targets, simplices[rows], numerators[rows, :, targets], np.abs(det[rows])
+        scenario, targets[first], support[first], numerators[first], np.abs(det[rows[first]])
     )
 
 
@@ -180,8 +190,8 @@ def concavity_margin(
     The margin of a combination is ``values[x] - sum_q weights[q] * values[q]``;
     the minimum over all combinations is non-negative exactly when the layer
     is concave-extensible on lattice supports. The scan runs in floats; the
-    reported margin re-evaluates the minimising combination in exact rational
-    arithmetic from its integer weights, so affine layers yield exactly 0.0.
+    reported margin re-evaluates the minimising combination in exact integer
+    arithmetic, rounded once, so affine layers yield exactly 0.0.
     States without enclosing combinations contribute nothing; a lattice with
     none at all returns ``(inf, None)``.
     """
@@ -191,23 +201,24 @@ def concavity_margin(
 def _worst_margins(
     scenario: Scenario, layers: np.ndarray, enclosings: EnclosingSets
 ) -> list[tuple[float, Optional[Witness]]]:
-    """``concavity_margin`` of each row of ``layers``, swept in blocks of layers
-    whose margins take about ``_SWEEP_BYTES`` per temporary array."""
+    """``concavity_margin`` of each row of ``layers``, swept in as few blocks of
+    near-equal size as keep each temporary array within ``_SWEEP_BYTES``."""
     if enclosings.scenario_fingerprint != scenario.fingerprint():
         raise ValueError("enclosing sets were built for a different scenario")
     if enclosings.n_combinations == 0:
         return [(math.inf, None)] * len(layers)
     worst = []
-    step = max(1, _SWEEP_BYTES // (8 * enclosings.n_combinations))
-    for start in range(0, len(layers), step):
-        block = layers[start : start + step]
+    most = max(1, _SWEEP_BYTES // (8 * enclosings.n_combinations))
+    for block in np.array_split(layers, max(1, -(-len(layers) // most))):
         for values, row in zip(block, enclosings.margins(block).argmin(axis=1).tolist()):
+            # exact, over the values' largest power-of-two denominator; int / int rounds once
+            points = [enclosings.targets[row], *enclosings.support[row]]
+            ratios = [v.as_integer_ratio() for v in values[points].tolist()]
+            scale = max(d for _, d in ratios)
             den = int(enclosings.denominators[row])
-            margin = Fraction(float(values[enclosings.targets[row]]))
-            nums = enclosings.numerators[row].tolist()
-            for q, num in zip(enclosings.support[row].tolist(), nums):
-                margin -= Fraction(num, den) * Fraction(float(values[q]))
-            worst.append((float(margin), enclosings.combination(row)))
+            coefficients = [den, *(-enclosings.numerators[row]).tolist()]
+            total = sum(c * p * (scale // d) for c, (p, d) in zip(coefficients, ratios))
+            worst.append((total / (scale * den), enclosings.combination(row)))
     return worst
 
 

@@ -3,8 +3,9 @@
 Layers are indexed by the time step t: layer t_bar + 1 is the terminal
 condition (minus the delivery cost) and layer t - 1 arises from layer t by
 solving the stage price problem in every state, all states of a layer at once
-in numpy arrays by the pricing module's layer solver. The recursion also has a
-closed-form stationary solution, a hyperplane in the order counts, which is
+in numpy arrays by the pricing module's layer solver; a policy read off a
+table solves blocks of layers as one, with the same bits. The recursion also
+has a closed-form stationary solution, a hyperplane in the order counts,
 exposed for verification and as an upper envelope.
 """
 
@@ -22,6 +23,8 @@ from .pricing import OpportunityCosts, StageSolution, _layer, _layer_solve
 
 # solve_horizon refuses lattices above this many states rather than thrashing.
 MAX_STATES = 10_000_000
+# policy_from_values solves as many steps at once as fit a (rows, n_slots) float array in 64 KiB.
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,37 +190,40 @@ def solve_horizon(scenario: Scenario) -> tuple[ValueFunction, PricePolicy]:
             f"states ({exc})"
         ) from exc
     values[t_bar] = terminal_values(scenario)
-    policy = _backward(scenario, values, values[:t_bar])
+    prices = np.full((t_bar, lat.n_states, scenario.n_slots), np.nan)
+    interior = np.zeros((t_bar, lat.n_states), dtype=bool)
+    layer = _layer(scenario, np.arange(lat.n_states))
+    for t in range(t_bar, 0, -1):
+        values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(scenario, values[t], layer)
+    policy = PricePolicy._frozen(prices, values[:t_bar], interior, scenario.fingerprint())
     values.flags.writeable = False
     return ValueFunction(values=values, fingerprint=policy.fingerprint), policy
-
-
-def _backward(scenario: Scenario, values: np.ndarray, stage_values: np.ndarray) -> PricePolicy:
-    """Solve layers t = horizon .. 1 against ``values[t]`` into ``stage_values[t - 1]``."""
-    t_bar, n = scenario.horizon, scenario.lattice.n_states
-    prices = np.full((t_bar, n, scenario.n_slots), np.nan)
-    interior = np.zeros((t_bar, n), dtype=bool)
-    layer = _layer(scenario, np.arange(n))
-    for t in range(t_bar, 0, -1):
-        stage_values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(
-            scenario, values[t], layer
-        )
-    return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 
 
 def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy:
     """Extract the stage-optimal prices implied by a value table.
 
-    For each booking step t the stage problem is solved against layer t + 1,
-    exactly as the backward induction would; feeding in a solved table
-    reproduces its policy.
+    Each step t solves the stage problem against layer t + 1; blocks of steps
+    are solved as one layer of lattice copies within ``_BLOCK_BYTES`` per
+    ``(rows, n_slots)`` array. The solver settles each row alone, so a solved
+    table gives back its policy with the same bits as ``solve_horizon``.
     """
     if values.fingerprint != scenario.fingerprint():
         raise ValueError("value function was computed for a different scenario")
     if values.horizon != scenario.horizon:
         raise ValueError("value function horizon does not match the scenario")
-    stage_values = np.empty((scenario.horizon, scenario.lattice.n_states))
-    return _backward(scenario, values.values, stage_values)
+    t_bar, n, n_slots = scenario.horizon, scenario.lattice.n_states, scenario.n_slots
+    out = np.empty(t_bar * n), np.empty((t_bar * n, n_slots)), np.empty(t_bar * n, dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * n * n_slots))
+    for t0 in range(0, t_bar, step):
+        k = min(step, t_bar - t0)
+        if t0 == 0 or k < step:  # the first block's geometry serves all but a short last one
+            layer = _layer(scenario, np.arange(n), k)
+        solved = _layer_solve(scenario, values.values[t0 + 1 : t0 + k + 1].reshape(-1), layer)
+        for table, block in zip(out, solved):
+            table[t0 * n : (t0 + k) * n] = block
+    stage_values, prices, interior = (a.reshape((t_bar, n) + a.shape[1:]) for a in out)
+    return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 
 
 def opportunity_costs(

@@ -216,13 +216,16 @@ class _Layer:
         return u, k
 
 
-def _layer(scenario: Scenario, rows: np.ndarray) -> _Layer:
-    """The fixed geometry of the layer of states ``rows``. Its weights at the
-    cap are left to ``_Layer.cap``, so a layer whose rows are all interior,
-    as a lone interior stage is, never builds them."""
+def _layer(scenario: Scenario, rows: np.ndarray, copies: int = 1) -> _Layer:
+    """The fixed geometry of the layer of states ``rows``, or of ``copies`` of
+    it, copy c reading ``v_next`` from ``c * n_states`` on. Its weights at the
+    cap are left to ``_Layer.cap``, so an all-interior layer never builds them."""
+    shift = scenario.lattice.n_states * np.arange(copies)[:, np.newaxis]
     nbr = scenario.lattice.neighbours[rows]
-    offered = nbr >= 0
+    offered = np.tile(nbr >= 0, (copies, 1))
+    nbr = (nbr + shift[..., np.newaxis]).reshape(offered.shape)  # masked where not offered
     live = offered.any(axis=1).nonzero()[0]
+    rows = (rows + shift).reshape(-1)
     return _Layer(scenario, rows, live, nbr[live], offered[live], np.full(nbr.shape, np.nan))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -246,6 +247,54 @@ def lp_concavity_margin(scenario, values) -> float:
                 if res.status == 0:
                     best = min(best, vx + res.fun)
     return best
+
+
+def _convex_weights(support, x):
+    """The exact weights w with ``sum_q w_q * (q, 1) == (x, 1)``, by
+    Gauss-Jordan elimination over Fractions; None for a degenerate support."""
+    m = len(support)
+    rows = [[Fraction(q[i]) for q in support] + [Fraction(x[i])] for i in range(len(x))]
+    rows.append([Fraction(1)] * (m + 1))
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [a / rows[col][col] for a in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[m] for row in rows]
+
+
+def exact_interpolation_margin(scenario, values, state, support) -> float:
+    """``v(state) - sum_q w_q * v(q)`` over the convex weights of the
+    ``n_slots + 1`` lattice points ``support``, in exact rationals rounded
+    once by ``float(Fraction)``."""
+    lat = scenario.lattice
+    margin = Fraction(float(values[lat.index(state)]))
+    for q, w in zip(support, _convex_weights(support, state)):
+        margin -= w * Fraction(float(values[lat.index(q)]))
+    return float(margin)
+
+
+def first_enclosing_simplices(scenario) -> list[tuple[int, tuple[int, ...]]]:
+    """``(target, simplex)`` state-index pairs: for each target and each set of
+    lattice points that hold it with positive weights on some
+    ``n_slots + 1``-point simplex, the lexicographically first such simplex.
+    In target order, then simplex order; by brute force over all simplices."""
+    states = scenario.lattice.states()
+    first = {}
+    for target, x in enumerate(states):
+        for simplex in itertools.combinations(range(len(states)), scenario.n_slots + 1):
+            if target in simplex:
+                continue
+            weights = _convex_weights([states[q] for q in simplex], x)
+            if weights is None or min(weights) < 0:
+                continue
+            key = (target, frozenset(q for q, w in zip(simplex, weights) if w > 0))
+            first.setdefault(key, (target, simplex))
+    return sorted(first.values())
 
 
 def lp_hull_margin(scenario, values) -> float:

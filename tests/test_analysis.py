@@ -9,6 +9,9 @@ import slotpricing as sp
 from oracles import (
     brute_arrival_rate_bound,
     brute_opportunity_cost_violations,
+    clamped_three_slot_scenario,
+    exact_interpolation_margin,
+    first_enclosing_simplices,
     lambert_bisect,
     lp_concavity_margin,
     lp_hull_margin,
@@ -96,6 +99,37 @@ def test_enclosing_supports_affinely_independent(table1_enclosings):
                 a, b, c = combo.support
                 det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
                 assert det != 0
+
+
+def test_enclosing_rows_are_distinct_combinations(table1):
+    # one row per target and set of positive-weight vertices, the rows in
+    # target-then-support order; duplicates differ only in zero-weight vertices
+    three = dataclasses.replace(clamped_three_slot_scenario(), capacities=(2, 2, 2))
+    for scenario, n_rows in ((table1, 2252), (three, 861)):
+        enc = sp.enumerate_enclosings(scenario)
+        assert enc.n_combinations == n_rows
+        targets, support = enc.targets.tolist(), enc.support.tolist()
+        positive = [
+            (t, frozenset(q for q, num in zip(sup, nums) if num > 0))
+            for t, sup, nums in zip(targets, support, enc.numerators.tolist())
+        ]
+        assert len(set(positive)) == len(positive)
+        order = list(zip(targets, support))
+        assert order == sorted(order)
+
+
+@pytest.mark.parametrize("capacities", [(3, 3), (1, 1, 2)])
+def test_enclosing_rows_are_the_first_simplex_of_each_combination(capacities):
+    n = len(capacities)
+    scenario = dataclasses.replace(
+        clamped_three_slot_scenario(),
+        capacities=capacities,
+        slot_betas=(1.0, 0.0, -1.0)[:n],
+        cost=sp.AffineCost(2.0, (1.0, 1.5, 2.0)[:n]),
+    )
+    enc = sp.enumerate_enclosings(scenario)
+    rows = list(zip(enc.targets.tolist(), map(tuple, enc.support.tolist())))
+    assert rows == first_enclosing_simplices(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +251,20 @@ def test_report_is_each_layers_margin(
     report = sp.concavity_report(table1, values, table1_enclosings)
     for t, eps, witness in zip(report.ts, report.epsilon, report.witnesses):
         assert (eps, witness) == sp.concavity_margin(table1, values.layer(t), table1_enclosings)
+
+
+def test_witness_margin_is_the_exact_margin_rounded_once(table1, table1_enclosings):
+    # layers from 1e-300 to 1e300 in magnitude, of mixed signs: the reported
+    # margin is the witness's exact rational margin, rounded once
+    rng = np.random.default_rng(17)
+    n = table1.lattice.n_states
+    rows = set()
+    for _ in range(300):
+        layer = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+        margin, (state, combo) = sp.concavity_margin(table1, layer, table1_enclosings)
+        assert margin == exact_interpolation_margin(table1, layer, state, combo.support)
+        rows.add((state, combo.support))
+    assert len(rows) > 50
 
 
 def test_margin_fingerprint_guard(table1, table1_enclosings):

@@ -219,13 +219,25 @@ def test_optimal_policy_dominates_static(table1, table1_solution):
     assert a.mean_profit >= b.mean_profit - 3.0 * combined
 
 
-def test_policy_from_values_reproduces_solve(table1):
-    for small in (dataclasses.replace(table1, horizon=6), clamped_three_slot_scenario()):
+def test_policy_from_values_reproduces_solve(table1, monkeypatch):
+    rng = np.random.default_rng(4)
+    jittered = dataclasses.replace(
+        _open4(),
+        horizon=7,
+        capacities=(2, 1, 2, 2),
+        slot_betas=tuple(b + rng.uniform(-0.1, 0.1) for b in _open4().slot_betas),
+    )
+    smalls = (dataclasses.replace(table1, horizon=6), clamped_three_slot_scenario(), jittered)
+    for small in smalls:
         values, policy = sp.solve_horizon(small)
-        extracted = sp.policy_from_values(small, values)
-        assert np.array_equal(extracted.prices, policy.prices, equal_nan=True)
-        assert np.array_equal(extracted.values, policy.values)
-        assert np.array_equal(extracted.interior, policy.interior)
+        layer_bytes = 8 * small.lattice.n_states * small.n_slots
+        # one layer per block, blocks of 5 and a short last one, one block
+        for layers in (1, 5, small.horizon):
+            monkeypatch.setattr(sp.dp, "_BLOCK_BYTES", layers * layer_bytes)
+            extracted = sp.policy_from_values(small, values)
+            assert np.array_equal(extracted.prices, policy.prices, equal_nan=True)
+            assert np.array_equal(extracted.values, policy.values)
+            assert np.array_equal(extracted.interior, policy.interior)
     with pytest.raises(ValueError, match="different scenario"):
         sp.policy_from_values(table1, values)
 
@@ -513,8 +525,10 @@ def test_simulation_matches_scalar_reference_walk(table1, table1_solution, monke
         for walk, (ratio, reference) in WALKS.items():
             monkeypatch.setattr(sim, "_STEPS_PER_CANDIDATE", ratio)
             # small caps put many lanes, each on its own advanced stream, on
-            # one, two and three threads
-            for chunk in (sim._CHUNK, 7, 64):
+            # one, two and three threads; the 7-row cap runs on 300 rows only,
+            # as on 3,000 it makes 1,500 two-row event lanes that took most of
+            # this test's time
+            for chunk in (sim._CHUNK, 7, 64) if reps <= 300 else (sim._CHUNK, 64):
                 edges = _lane_edges(reps, chunk, walk)
                 profits, histogram = reference(
                     scenario, policy, reps, seed, edges, arrival_rate=rate

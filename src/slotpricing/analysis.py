@@ -31,8 +31,8 @@ MAX_ENUM_CANDIDATES = 8_000_000
 # Margins this far below zero count as genuine concavity violations; smaller
 # dips are indistinguishable from float roundoff in the layer values.
 NONNEGATIVITY_TOL = 1e-9
-# The margin sweep takes layers in near-equal blocks (a short last one left more
-# heap resident) that keep each of its temporary arrays near this size, 1 MiB.
+# The margin sweep takes as many layers at a time as keep each of its
+# temporary arrays near this size, 1 MiB.
 _SWEEP_BYTES = 1 << 20
 
 
@@ -169,17 +169,16 @@ def enumerate_enclosings(scenario: Scenario) -> EnclosingSets:
     enclosed[np.arange(len(simplices))[:, np.newaxis], simplices] = False
     targets, rows = np.nonzero(enclosed.T)
     support, numerators = simplices[rows], numerators[rows, :, targets]
-    # Code each target and its positive-weight vertices as the base n_states + 1
-    # digits target + 1, q + 1, ...; a dict filled from the last row back keeps
-    # each code's first row (numpy's int sorts page in 0.4 MiB more of its code).
-    code = targets + 1
-    for column, positive in zip(support.T, (numerators > 0).T):
+    # Only a row with a zero weight can repeat another: code each by its target and
+    # positive-weight vertices (base n_states + 1 digits t + 1, q + 1, ...), keep the first.
+    keep = numerators.all(axis=1)
+    code = targets[~keep] + 1
+    for column, positive in zip(support[~keep].T, (numerators[~keep] > 0).T):
         code = np.where(positive, code * (n_states + 1) + column + 1, code)
-    codes = code.tolist()
-    first = np.array(sorted(dict(zip(codes[::-1], range(len(codes))[::-1])).values()))
-    return EnclosingSets(
-        scenario, targets[first], support[first], numerators[first], np.abs(det[rows[first]])
-    )
+    keep[np.flatnonzero(~keep)[np.unique(code, return_index=True)[1]]] = True
+    if not keep.all():
+        targets, rows, support, numerators = (a[keep] for a in (targets, rows, support, numerators))
+    return EnclosingSets(scenario, targets, support, numerators, np.abs(det[rows]))
 
 
 def concavity_margin(
@@ -201,15 +200,16 @@ def concavity_margin(
 def _worst_margins(
     scenario: Scenario, layers: np.ndarray, enclosings: EnclosingSets
 ) -> list[tuple[float, Optional[Witness]]]:
-    """``concavity_margin`` of each row of ``layers``, swept in as few blocks of
-    near-equal size as keep each temporary array within ``_SWEEP_BYTES``."""
+    """``concavity_margin`` of each row of ``layers``, swept in blocks of layers
+    whose margins take about ``_SWEEP_BYTES`` per temporary array."""
     if enclosings.scenario_fingerprint != scenario.fingerprint():
         raise ValueError("enclosing sets were built for a different scenario")
     if enclosings.n_combinations == 0:
         return [(math.inf, None)] * len(layers)
     worst = []
-    most = max(1, _SWEEP_BYTES // (8 * enclosings.n_combinations))
-    for block in np.array_split(layers, max(1, -(-len(layers) // most))):
+    step = max(1, _SWEEP_BYTES // (8 * enclosings.n_combinations))
+    for start in range(0, len(layers), step):
+        block = layers[start : start + step]
         for values, row in zip(block, enclosings.margins(block).argmin(axis=1).tolist()):
             # exact, over the values' largest power-of-two denominator; int / int rounds once
             points = [enclosings.targets[row], *enclosings.support[row]]

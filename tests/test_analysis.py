@@ -132,6 +132,25 @@ def test_enclosing_rows_are_the_first_simplex_of_each_combination(capacities):
     assert rows == first_enclosing_simplices(scenario)
 
 
+@pytest.mark.parametrize("capacities", [(1,), (1, 1), (1, 1, 1)])
+def test_all_ones_lattice_has_no_combinations(capacities):
+    # every state is a corner: nothing is enclosed, every margin is (inf, None)
+    n = len(capacities)
+    scenario = dataclasses.replace(
+        clamped_three_slot_scenario(),
+        capacities=capacities,
+        slot_betas=(1.0, 0.0, -1.0)[:n],
+        cost=sp.AffineCost(2.0, (1.0, 1.5, 2.0)[:n]),
+    )
+    enc = sp.enumerate_enclosings(scenario)
+    assert enc.n_combinations == 0
+    assert all(enc[state] == () for state in scenario.lattice.states())
+    report = sp.concavity_report(scenario, enclosings=enc)
+    assert report.epsilon == (math.inf,) * scenario.horizon
+    assert report.witnesses == (None,) * scenario.horizon
+    assert report.all_nonnegative
+
+
 # ---------------------------------------------------------------------------
 # concavity margin
 # ---------------------------------------------------------------------------

@@ -464,6 +464,21 @@ def test_negative_seed_exits_one(short_scenario_file, capsys):
     assert "Traceback" not in err
 
 
+def test_concavity_on_a_lattice_without_combinations(tmp_path, capsys):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    doc["horizon"] = 5
+    for slot in doc["slots"]:
+        slot["capacity"] = 1
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "eps.csv")
+    assert main(["concavity", "--scenario", str(path), "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = _read_csv(out)
+    assert [float(row["epsilon"]) for row in rows] == [math.inf] * 5
+    assert all(row["witness_state"] == row["witness_support"] == "" for row in rows)
+
+
 def test_concavity_refuses_large_lattice_before_solving(tmp_path, monkeypatch, capsys):
     doc = json.loads(EXAMPLE_SCENARIO)
     for slot in doc["slots"]:

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from .lambertw import lambert_w0
-from .model import Scenario, State, _logit_weights, cost_values
+from .model import Scenario, State, _check_fit, _logit_weights, cost_values
 from .dp import ValueFunction, solve_horizon
 
 # Largest comb(n_states, n_slots + 1) * n_states, the (simplex, state) pairs
@@ -202,8 +202,7 @@ def _worst_margins(
 ) -> list[tuple[float, Optional[Witness]]]:
     """``concavity_margin`` of each row of ``layers``, swept in blocks of layers
     whose margins take about ``_SWEEP_BYTES`` per temporary array."""
-    if enclosings.scenario_fingerprint != scenario.fingerprint():
-        raise ValueError("enclosing sets were built for a different scenario")
+    _check_fit(scenario, "enclosing sets", enclosings.scenario_fingerprint)
     if enclosings.n_combinations == 0:
         return [(math.inf, None)] * len(layers)
     worst = []
@@ -251,8 +250,8 @@ def concavity_report(
     """
     if values is None:
         values, _ = solve_horizon(scenario)
-    if values.fingerprint != scenario.fingerprint():
-        raise ValueError("value function was computed for a different scenario")
+    shape = (scenario.horizon + 1, scenario.lattice.n_states)
+    _check_fit(scenario, "value function", values.fingerprint, values.values, shape, True)
     if enclosings is None:
         enclosings = enumerate_enclosings(scenario)
     ts = tuple(range(1, scenario.horizon + 1))

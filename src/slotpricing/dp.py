@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Scenario, cost_values, marginal_profit_violations
+from .model import Scenario, _check_fit, cost_values, marginal_profit_violations
 from .pricing import OpportunityCosts, StageSolution, _layer, _layer_solve
 
 # solve_horizon refuses lattices above this many states rather than thrashing.
@@ -208,11 +208,8 @@ def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy
     ``(rows, n_slots)`` array. The solver settles each row alone, so a solved
     table gives back its policy with the same bits as ``solve_horizon``.
     """
-    if values.fingerprint != scenario.fingerprint():
-        raise ValueError("value function was computed for a different scenario")
-    if values.horizon != scenario.horizon:
-        raise ValueError("value function horizon does not match the scenario")
     t_bar, n, n_slots = scenario.horizon, scenario.lattice.n_states, scenario.n_slots
+    _check_fit(scenario, "value function", values.fingerprint, values.values, (t_bar + 1, n), True)
     out = np.empty(t_bar * n), np.empty((t_bar * n, n_slots)), np.empty(t_bar * n, dtype=bool)
     step = max(1, _BLOCK_BYTES // (8 * n * n_slots))
     for t0 in range(0, t_bar, step):

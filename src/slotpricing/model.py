@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import operator
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -31,12 +31,16 @@ class ScenarioError(ValueError):
 
 
 def _require_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as a finite float: any real number, numpy's too, but a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{field} must be a number")
-    # false for NaN and inf; an int compares exactly, before float() could overflow
-    if not -sys.float_info.max <= value <= sys.float_info.max:
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ScenarioError(f"{field} must be finite")
-    return float(value)
+    return number
 
 
 def _integral(value) -> Optional[int]:
@@ -64,12 +68,22 @@ class AffineCost:
     intercept: float
     coefficients: tuple[float, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "intercept", _require_number(self.intercept, "cost intercept"))
+        coefficients = enumerate(self.coefficients, start=1)
+        coefficients = tuple(_require_number(v, f"cost coefficient {i}") for i, v in coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
+
 
 @dataclass(frozen=True)
 class TableCost:
     """Delivery cost tabulated per lattice state, in state-index order."""
 
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        values = tuple(_require_number(v, f"cost value {i}") for i, v in enumerate(self.values))
+        object.__setattr__(self, "values", values)
 
 
 CostSpec = Union[AffineCost, TableCost]
@@ -150,6 +164,12 @@ class StateLattice:
         return arr
 
 
+# the Scenario fields stored as floats, and their scenario-file keys
+_NUMBER_KEYS = {"arrival_rate": "lambda"} | {
+    k: k for k in ("price_min", "price_max", "net_revenue", "beta_const", "beta_price")
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """All model parameters for one delivery sub-area.
@@ -160,7 +180,10 @@ class Scenario:
     ``exp(beta_const + slot_betas[s] + beta_price * d[s])``, with the
     no-purchase utility normalised to zero. ``horizon`` and each capacity
     must be integers (numpy integers are stored as ints); a float, even an
-    integral one, or a bool raises ``ScenarioError`` naming the field.
+    integral one, or a bool raises ``ScenarioError`` naming the field. The
+    other numbers, the slot betas (a tuple) and the cost's among them, are
+    stored as finite floats; anything else, a bool or a string included,
+    raises ``ScenarioError`` with the field's name in a scenario file.
     """
 
     arrival_rate: float
@@ -181,6 +204,13 @@ class Scenario:
             _require_count(c, f"capacities[{i}]") for i, c in enumerate(self.capacities)
         )
         object.__setattr__(self, "capacities", caps)
+        # and the others as finite floats, named as in a scenario file
+        for name, key in _NUMBER_KEYS.items():
+            object.__setattr__(self, name, _require_number(getattr(self, name), key))
+        betas = tuple(
+            _require_number(b, f"slot {i} beta") for i, b in enumerate(self.slot_betas, start=1)
+        )
+        object.__setattr__(self, "slot_betas", betas)
         if not 0.0 < self.arrival_rate < 1.0:
             raise ScenarioError("lambda must lie strictly between 0 and 1")
         if self.horizon < 0:
@@ -195,28 +225,15 @@ class Scenario:
             raise ScenarioError("slot_betas and capacities must have equal length")
         if any(c < 1 for c in self.capacities):
             raise ScenarioError("every capacity must be at least 1")
-        for name in ("price_min", "price_max", "net_revenue", "beta_const", "beta_price"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name} must be finite")
-        if not all(math.isfinite(b) for b in self.slot_betas):
-            raise ScenarioError("slot betas must be finite")
-        n_states = 1
-        for c in self.capacities:
-            n_states *= c + 1
+        n_states = math.prod(c + 1 for c in self.capacities)
         if isinstance(self.cost, AffineCost):
             if len(self.cost.coefficients) != len(self.capacities):
                 raise ScenarioError("affine cost needs one coefficient per slot")
-            if not math.isfinite(self.cost.intercept) or not all(
-                math.isfinite(c) for c in self.cost.coefficients
-            ):
-                raise ScenarioError("affine cost values must be finite")
         elif isinstance(self.cost, TableCost):
             if len(self.cost.values) != n_states:
                 raise ScenarioError(
                     f"table cost needs one value per state ({n_states}), got {len(self.cost.values)}"
                 )
-            if not all(math.isfinite(v) for v in self.cost.values):
-                raise ScenarioError("table cost values must be finite")
         else:
             raise ScenarioError("cost must be an AffineCost or a TableCost")
 
@@ -263,17 +280,7 @@ class Scenario:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
-_TOP_KEYS = {
-    "lambda",
-    "horizon",
-    "price_min",
-    "price_max",
-    "net_revenue",
-    "beta_const",
-    "beta_price",
-    "slots",
-    "cost",
-}
+_TOP_KEYS = {*_NUMBER_KEYS.values(), "horizon", "slots", "cost"}
 _SLOT_KEYS = {"beta", "capacity"}
 _COST_KEYS = {"affine": {"type", "intercept", "coefficients"}, "table": {"type", "values"}}
 
@@ -315,7 +322,7 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"unknown key(s) in slot {i}: {', '.join(sorted(unknown))}")
         if set(slot) != _SLOT_KEYS:
             raise ScenarioError(f"slot {i} needs keys beta and capacity")
-        betas.append(_require_number(slot["beta"], f"slot {i} beta"))
+        betas.append(slot["beta"])
         caps.append(_require_count(slot["capacity"], f"slot {i} capacity"))
 
     cost_doc = doc["cost"]
@@ -330,33 +337,22 @@ def load_scenario(text: str) -> Scenario:
     missing = _COST_KEYS[kind] - set(cost_doc)
     if missing:
         raise ScenarioError(f"missing cost key(s): {', '.join(sorted(missing))}")
+    listed = "coefficients" if kind == "affine" else "values"
+    if not isinstance(cost_doc[listed], list):
+        raise ScenarioError(f"cost {listed} must be a list")
     if kind == "affine":
-        if not isinstance(cost_doc["coefficients"], list):
-            raise ScenarioError("cost coefficients must be a list")
-        cost: CostSpec = AffineCost(
-            intercept=_require_number(cost_doc["intercept"], "cost intercept"),
-            coefficients=tuple(
-                _require_number(v, f"cost coefficient {i + 1}")
-                for i, v in enumerate(cost_doc["coefficients"])
-            ),
-        )
+        cost: CostSpec = AffineCost(cost_doc["intercept"], cost_doc["coefficients"])
     else:
-        if not isinstance(cost_doc["values"], list):
-            raise ScenarioError("cost values must be a list")
-        cost = TableCost(
-            values=tuple(
-                _require_number(v, f"cost value {i}") for i, v in enumerate(cost_doc["values"])
-            )
-        )
+        cost = TableCost(cost_doc["values"])
 
     return Scenario(
-        arrival_rate=_require_number(doc["lambda"], "lambda"),
+        arrival_rate=doc["lambda"],
         horizon=_require_count(doc["horizon"], "horizon"),
-        price_min=_require_number(doc["price_min"], "price_min"),
-        price_max=_require_number(doc["price_max"], "price_max"),
-        net_revenue=_require_number(doc["net_revenue"], "net_revenue"),
-        beta_const=_require_number(doc["beta_const"], "beta_const"),
-        beta_price=_require_number(doc["beta_price"], "beta_price"),
+        price_min=doc["price_min"],
+        price_max=doc["price_max"],
+        net_revenue=doc["net_revenue"],
+        beta_const=doc["beta_const"],
+        beta_price=doc["beta_price"],
         slot_betas=tuple(betas),
         capacities=tuple(caps),
         cost=cost,
@@ -431,27 +427,39 @@ _OVERFLOW = (
 
 
 def _logit_weights(
-    scenario: Scenario, prices, offered, log_offset: float = 0.0, *, errstate_held: bool = False
+    scenario: Scenario, prices, offered, log_offset: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Logit weights ``exp(beta_const + slot_betas + beta_price * prices +
     log_offset)`` where ``offered``, else 0.0, and their sums over the slots.
 
     ``prices`` and ``offered`` broadcast against the slots, the last axis.
     Raises ``ValueError`` unless every sum, and so every weight, is finite.
-    Runs under ``np.errstate(over="ignore", invalid="ignore")``; a caller
-    already inside one (the layer solver) passes ``errstate_held``.
+    Runs under ``np.errstate(over="ignore", invalid="ignore")``, so an
+    overflow reaches the caller as that error alone.
     """
-    if not errstate_held:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _logit_weights(scenario, prices, offered, log_offset, errstate_held=True)
-    utility = scenario._slot_utility + scenario.beta_price * prices
-    if log_offset:
-        utility = utility + log_offset
-    weights = np.where(offered, np.exp(utility), 0.0)
-    total = weights.sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        utility = scenario._slot_utility + scenario.beta_price * prices
+        if log_offset:
+            utility = utility + log_offset
+        weights = np.where(offered, np.exp(utility), 0.0)
+        total = weights.sum(axis=-1)
     if not math.isfinite(total.max(initial=0.0)):  # max carries a NaN through
         raise ValueError(_OVERFLOW)
     return weights, total
+
+
+def _check_fit(
+    scenario: Scenario, name: str, fingerprint: str, table=None, shape=(), finite=False
+) -> None:
+    """Raise ``ValueError`` naming ``name`` unless it was computed for
+    ``scenario``: the same fingerprint and, for a ``table``, the ``shape``
+    and, where ``finite``, only finite entries."""
+    if fingerprint != scenario.fingerprint():
+        raise ValueError(f"{name} was computed for a different scenario")
+    if table is not None and table.shape != shape:
+        raise ValueError(f"{name} has shape {table.shape}, expected {shape}")
+    if finite and not np.isfinite(table).all():
+        raise ValueError(f"{name} holds a value that is not finite")
 
 
 def _offered_prices(scenario: Scenario, prices: PriceVector) -> tuple[np.ndarray, np.ndarray]:

@@ -22,12 +22,13 @@ order. First the interior rows, found without W and priced by the closed
 form, one W call each; a screen on the box's upper edge comes first, and
 only the rows that pass it get W arguments. Then the capped rows, where
 every offered slot charges ``price_max``: the markup's first-order condition
-at the cap decides them, and they are priced and closed in closed form with
-no W call; their weights at ``price_max`` depend on the layer's geometry
-alone, so a solve builds them once. Then the breakpoint walk over the rest,
-with one W call per walk that has a free slot; a row where closing pays is
-walked again over its nested closures. Every logit weight, in the solver and
-in the scalar formulas, comes from the model's logit kernel; the Lambert W
+at the cap decides them, and they are priced in closed form with no W call;
+their weights at ``price_max`` depend on the layer's geometry alone, so a
+solve builds them once. Then the breakpoint walk over the rest, with one W
+call per walk that has a free slot. Then one closure rule: a row closes the
+slots whose margin at the cap lies below its surplus rate, and the same
+passes settle what it keeps open. Every logit weight, in the solver and in
+the scalar formulas, comes from the model's logit kernel; the Lambert W
 arguments pass their ``-1`` as its log offset.
 """
 
@@ -206,12 +207,10 @@ class _Layer:
     def cap(self) -> tuple[np.ndarray, np.ndarray]:
         """The weights at ``price_max`` of the live rows' offered slots, and
         one plus each row's sum of them. They depend on the geometry alone, so
-        a solve builds them once, the first time a row is not interior; read
-        inside the solver's ``np.errstate``. Where they do not fit a float the
-        overflow error is raised, as the first capped test would."""
-        scenario = self.scenario
-        u, u_sum = _logit_weights(scenario, scenario.price_max, self.o_live, errstate_held=True)
-        k = 1.0 + u_sum
+        a solve builds them once, the first time a row is not interior. Where
+        they do not fit a float the overflow error is raised, as the first
+        capped test would."""
+        u, k = _cap_weights(self.scenario, self.o_live)
         u.flags.writeable = k.flags.writeable = False  # shared by every solve of the layer
         return u, k
 
@@ -247,7 +246,7 @@ def _walk(scenario: Scenario, ac: np.ndarray, oc: np.ndarray) -> tuple[np.ndarra
     ends = np.where(oc, ac, np.inf)
     breaks = np.concatenate([lo + ends, hi + ends], axis=1)
     d = np.minimum(np.maximum(breaks[:, :, np.newaxis] - ac[:, np.newaxis], lo), hi)
-    u, u_sum = _logit_weights(scenario, d, oc[:, np.newaxis], errstate_held=True)
+    u, u_sum = _logit_weights(scenario, d, oc[:, np.newaxis])
     s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u_sum)  # surplus/lam
     if not np.isfinite(s).all():
         raise ValueError(_OVERFLOW)
@@ -260,11 +259,11 @@ def _walk(scenario: Scenario, ac: np.ndarray, oc: np.ndarray) -> tuple[np.ndarra
     # over the clamped slots and y the free slots' weights at markup A/K, the
     # root is m = A/K - (1 + W(y/K)) / bd. g is zero there, so the surplus
     # rate is m + 1/bd = A/K - W/bd.
-    u, u_sum = _logit_weights(scenario, fixed, oc & ~free, errstate_held=True)
+    u, u_sum = _logit_weights(scenario, fixed, oc & ~free)
     k_sum = 1.0 + u_sum
     shift = (u * (ac + fixed)).sum(axis=1) / k_sum
     d_shift = shift[:, np.newaxis] - ac
-    y = _logit_weights(scenario, d_shift, free, -1.0, errstate_held=True)[1] / k_sum
+    y = _logit_weights(scenario, d_shift, free, -1.0)[1] / k_sum
     # y is 0 when no slot is free, and W(0) = 0: only free rows call W.
     w = np.array([lambert_w0(x) if x else 0.0 for x in y.tolist()])
     markup = shift - (1.0 + w) / bd
@@ -276,35 +275,82 @@ def _below(margin: np.ndarray, rate: np.ndarray) -> np.ndarray:
     return margin < rate - 1e-12 * (1.0 + np.abs(rate))
 
 
-def _close_capped(u, margin, open_, rate):
-    """The open slots and surplus rate of capped rows after closing, round by
-    round, the slots whose margin lies below the rate; ``u`` are the weights
-    at ``price_max``. The rate only rises, so the rows stay capped."""
-    while True:
-        shut = open_ & _below(margin, rate[:, np.newaxis])
-        if not shut.any():
-            return open_, rate
-        open_ = open_ & ~shut
-        u = np.where(open_, u, 0.0)
-        rate = (u * margin).sum(axis=1) / (1.0 + u.sum(axis=1))
+def _cap_weights(scenario: Scenario, offered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights at ``price_max`` of the ``offered`` slots, and one plus each row's sum."""
+    u, u_sum = _logit_weights(scenario, scenario.price_max, offered)
+    return u, 1.0 + u_sum
 
 
-def _best_closure(scenario, ac, oc, prices, rate):
-    """The prices, NaN where closed, and surplus rate of walked rows after
-    trying their nested closures: candidate k closes the offered slots whose
-    ``a_j`` is at most the k-th least, k = 1 .. n_slots; all closed is worth
-    0. A row keeps its all-open ``prices`` and ``rate`` unless its best
-    candidate beats the rate by more than the tie allowance."""
-    rows, n = oc.shape
-    kth = np.sort(np.where(oc, ac, np.inf), axis=1)[:, :, np.newaxis]  # tied slots close together
-    keep = (oc[:, np.newaxis] & (ac[:, np.newaxis] > kth)).reshape(rows * n, n)
-    some = keep.any(axis=1)
-    closures, rates = np.full(keep.shape, np.nan), np.zeros(rows * n)
-    walked, rates[some] = _walk(scenario, np.repeat(ac, n, axis=0)[some], keep[some])
-    closures[some] = np.where(keep[some], walked, np.nan)
-    best = rates.reshape(rows, n).argmax(axis=1) + np.arange(0, rows * n, n)
-    better = _below(rate, rates[best])
-    return np.where(better[:, np.newaxis], closures[best], prices), np.where(better, rates[best], rate)
+def _settle(scenario: Scenario, a: np.ndarray, o: np.ndarray, cap) -> tuple[np.ndarray, ...]:
+    """Prices (NaN off ``o``), gains and interior flags of rows with margins
+    ``a + d`` at prices d on open slots ``o``; ``cap()`` gives the rows'
+    weights at ``price_max`` and one plus their sums, and is called only when
+    a row is not interior. Runs inside the caller's ``np.errstate``."""
+    lam, bd = scenario.arrival_rate, scenario.beta_price
+    lo, hi = scenario.price_min, scenario.price_max
+    n_rows = len(a)
+    prices, gain = np.empty(a.shape), np.empty(n_rows)
+    inside = np.zeros(n_rows, dtype=bool)
+    # The closed-form prices -(1 + W(y))/bd - a_j lie in the box exactly
+    # when c_lo <= W(y) <= c_hi, with c = -bd * (edge + a_j) - 1 at the
+    # largest a_j for lo and the smallest for hi. W is increasing, at
+    # least 0, and W(c e^c) = c for c >= 0, so the test needs no W:
+    # c_hi >= 0, y <= c_hi e^c_hi and y >= c_lo e^c_lo. The first is the
+    # screen: it needs no y, and it keeps a y that underflowed to 0 from
+    # passing a c_hi < 0, where c e^c is -0.0 or below; the last always
+    # holds for c_lo <= 0. Exact ties count as inside: the example prices
+    # a lone slot exactly at price_max. An e^c that overflows to inf reads
+    # as no bound. fmin and fmax skip the NaN of closed slots; the
+    # slot-major copy keeps their reductions over each row's few slots fast.
+    ends = np.asfortranarray(np.where(o, a, np.nan))
+    a_min, a_max = np.fmin.reduce(ends, axis=1), np.fmax.reduce(ends, axis=1)
+    c_hi = -bd * a_min - (bd * hi + 1.0)
+    cand = (c_hi >= 0.0).nonzero()[0]
+    if len(cand):
+        ac, oc, c_top, a_top = _take(cand, n_rows, a, o, c_hi, a_max)
+        y = _logit_weights(scenario, -ac, oc, -1.0)[1]
+        c_lo = -bd * a_top - (bd * lo + 1.0)
+        ins = (y <= c_top * np.exp(c_top)) & (y >= c_lo * np.exp(c_lo))
+        if ins.any():
+            w = np.zeros(len(cand))
+            w[ins] = [lambert_w0(x) for x in y[ins].tolist()]
+            # the candidates that are not interior are priced again below
+            p_cand, g_cand = (-(1.0 + w) / bd)[:, np.newaxis] - ac, -lam / bd * w
+            if len(cand) == n_rows:
+                prices, gain, inside = p_cand, g_cand, ins
+            else:
+                prices[cand], gain[cand], inside[cand] = p_cand, g_cand, ins
+    out = (~inside).nonzero()[0]
+    if len(out):
+        # Off the box the optimum is still d_j = clamp(m - a_j) for one
+        # markup m, the unique root of g(m) = surplus/lam - 1/bd - m; g is
+        # positive left of it and negative right of it. Every slot sits
+        # at hi iff m >= hi + max_j a_j, that is iff g >= 0 there, where
+        # all prices are hi and surplus/lam is s_hi. Then the clamped-set
+        # formulas of the walk have no free slot and W = 0, and the gain
+        # is lam * s_hi. An s_hi that overflows to inf fails the final
+        # finiteness check; a NaN one is not capped, and the walk raises.
+        ac, oc, u, k_hi, a_top, a_low = _take(out, n_rows, a, o, *cap(), a_max, a_min)
+        rate = (u * (ac + hi)).sum(axis=1) / k_hi  # s_hi
+        capped = rate - 1.0 / bd >= hi + a_top
+        prices[out] = hi
+        if not capped.all():
+            walked = ~capped
+            prices[out[walked]], rate[walked] = _walk(scenario, ac[walked], oc[walked])
+        gain[out] = lam * rate
+        # Only a slot at hi can have a margin below the rate, and a row
+        # closes every such slot at once; the rate only rises, and the
+        # reduced set is settled again, at most once per slot. A capped
+        # row stays capped and needs no W.
+        near = a_low + hi < rate - 1e-12  # the tie allowance is at least 1e-12
+        if near.any():
+            shut = near & _below(a_low + hi, rate)
+            rows = out[shut]
+            kept = oc[shut] & ~_below(ac[shut] + hi, rate[shut, np.newaxis])
+            prices[rows], gain[rows], _ = _settle(
+                scenario, ac[shut], kept, lambda: _cap_weights(scenario, kept)
+            )
+    return np.where(o, prices, np.nan), gain, inside
 
 
 def _layer_solve(
@@ -323,86 +369,22 @@ def _layer_solve(
     price strictly inside the box. A screen on the box's upper edge comes
     first, and only the rows that pass it get Lambert W arguments; the capped
     test reads the layer's weights at the cap. A pass that takes every live
-    row works on the layer's own arrays, not on copies. Capped and walked
-    rows close slots where that pays (see ``solve_stage``).
+    row works on the layer's own arrays, not on copies. Then one closure
+    rule: a row that is not interior closes every slot whose margin at the
+    cap lies below its surplus rate, and the same passes settle the rest
+    again, with cap weights built for it (see ``solve_stage``).
     """
-    lam, bd, r = scenario.arrival_rate, scenario.beta_price, scenario.net_revenue
-    lo, hi = scenario.price_min, scenario.price_max
     live, o_live = layer.live, layer.o_live
-    n_live = len(live)
     values = v_next[layer.rows]
-    # net_revenue - z
-    a_live = np.where(o_live, r - (values[live][:, np.newaxis] - v_next[layer.nbr_live]), 0.0)
-    prices, gain = np.empty(a_live.shape), np.empty(n_live)
-    inside = np.zeros(n_live, dtype=bool)
-
+    z_live = values[live][:, np.newaxis] - v_next[layer.nbr_live]
+    a_live = np.where(o_live, scenario.net_revenue - z_live, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        # The closed-form prices -(1 + W(y))/bd - a_j lie in the box exactly
-        # when c_lo <= W(y) <= c_hi, with c = -bd * (edge + a_j) - 1 at the
-        # largest a_j for lo and the smallest for hi. W is increasing, at
-        # least 0, and W(c e^c) = c for c >= 0, so the test needs no W:
-        # c_hi >= 0, y <= c_hi e^c_hi and y >= c_lo e^c_lo. The first is the
-        # screen: it needs no y, and it keeps a y that underflowed to 0 from
-        # passing a c_hi < 0, where c e^c is -0.0 or below; the last always
-        # holds for c_lo <= 0. Exact ties count as inside: the example prices
-        # a lone slot exactly at price_max. An e^c that overflows to inf reads
-        # as no bound. fmin and fmax skip the NaN of closed slots; the
-        # slot-major copy keeps their reductions over each row's few slots fast.
-        ends = np.asfortranarray(np.where(o_live, a_live, np.nan))
-        a_min, a_max = np.fmin.reduce(ends, axis=1), np.fmax.reduce(ends, axis=1)
-        c_hi = -bd * a_min - (bd * hi + 1.0)
-        cand = (c_hi >= 0.0).nonzero()[0]
-        if len(cand):
-            ac, oc, c_top, a_top = _take(cand, n_live, a_live, o_live, c_hi, a_max)
-            y = _logit_weights(scenario, -ac, oc, -1.0, errstate_held=True)[1]
-            c_lo = -bd * a_top - (bd * lo + 1.0)
-            ins = (y <= c_top * np.exp(c_top)) & (y >= c_lo * np.exp(c_lo))
-            if ins.any():
-                w = np.zeros(len(cand))
-                w[ins] = [lambert_w0(x) for x in y[ins].tolist()]
-                # the candidates that are not interior are priced again below
-                p_cand, g_cand = (-(1.0 + w) / bd)[:, np.newaxis] - ac, -lam / bd * w
-                if len(cand) == n_live:
-                    prices, gain, inside = p_cand, g_cand, ins
-                else:
-                    prices[cand], gain[cand], inside[cand] = p_cand, g_cand, ins
-        out = (~inside).nonzero()[0]
-        if len(out):
-            # Off the box the optimum is still d_j = clamp(m - a_j) for one
-            # markup m, the unique root of g(m) = surplus/lam - 1/bd - m; g is
-            # positive left of it and negative right of it. Every slot sits
-            # at hi iff m >= hi + max_j a_j, that is iff g >= 0 there, where
-            # all prices are hi and surplus/lam is s_hi. Then the clamped-set
-            # formulas of the walk have no free slot and W = 0, and the gain
-            # is lam * s_hi. An s_hi that overflows to inf fails the final
-            # finiteness check; a NaN one is not capped, and the walk raises.
-            # A capped row closes a slot only if its least margin a_j + hi does.
-            ac, oc, u, k_hi, a_top = _take(out, n_live, a_live, o_live, *layer.cap, a_max)
-            s_hi = (u * (ac + hi)).sum(axis=1) / k_hi
-            capped = s_hi - 1.0 / bd >= hi + a_top
-            top, s_top = out[capped], s_hi[capped]
-            prices[top] = hi
-            near = a_min[top] + hi < s_top - 1e-12  # the tie allowance is at least 1e-12
-            if near.any():
-                u, ac, oc = u[capped][near], ac[capped][near], oc[capped][near]
-                open_, s_top[near] = _close_capped(u, ac + hi, oc, s_top[near])
-                prices[top[near]] = np.where(open_, hi, np.nan)
-            gain[top] = lam * s_top
-            out = out[~capped]
-        if len(out):
-            prices[out], rate = _walk(scenario, a_live[out], o_live[out])
-            shut = _below(a_min[out] + hi, rate)
-            if shut.any():
-                rows = out[shut]
-                prices[rows], rate[shut] = _best_closure(
-                    scenario, a_live[rows], o_live[rows], prices[rows], rate[shut]
-                )
-            gain[out] = lam * rate
+        prices, gain, inside = _settle(scenario, a_live, o_live, lambda: layer.cap)
         values[live] += gain
     if not np.isfinite(values).all():
         raise ValueError(_OVERFLOW)
     layer_prices = layer.nan_prices.copy()
-    layer_prices[live] = np.where(o_live, prices, np.nan)
+    layer_prices[live] = prices
     interior = np.zeros(len(values), dtype=bool)
     interior[live] = inside
     return values, layer_prices, interior
@@ -418,15 +400,14 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
     ``net_revenue`` plus one common markup, clamped to the box. Under
     multinomial logit, opening slot j raises the surplus rate R (surplus per
     arrival) iff its margin ``net_revenue + d_j - z_j`` exceeds R (Talluri
-    and van Ryzin, 2004). Only a slot at ``price_max`` can fall below R, so
-    the best set closes the k feasible slots of least ``net_revenue - z_j``,
-    for some k. A capped stage (every slot at the cap) closes the slots
-    below R and repeats with the raised R; a walked stage with a slot at the
-    cap below R compares the closures k = 1 .. n, all closed worth 0. Ties
-    stay open: a margin must lie below R by more than ``1e-12 * (1 + |R|)``,
-    and a closure's rate R' must top R by more than ``1e-12 * (1 + |R'|)``,
-    so the stationary hyperplane, where margins at the cap equal R, closes
-    nothing. Closed feasible slots are ``None``; such a stage is not interior.
+    and van Ryzin, 2004). Only a slot at ``price_max`` can fall below R. A
+    stage that is not interior closes every slot whose margin at the cap
+    lies below R and settles the rest again, with a higher R, until none
+    does. Starting from every feasible slot this ends at the best set: each
+    slot it closes lies below the best rate too. Ties stay open: a margin
+    must lie below R by more than ``1e-12 * (1 + |R|)``, so the stationary
+    hyperplane, where margins at the cap equal R, closes nothing. Closed
+    feasible slots are ``None``; such a stage is not interior.
     """
     ix = scenario.lattice.index(state)
     nbr = scenario.lattice.neighbours[ix]

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .dp import PricePolicy
-from .model import Scenario, _integral, _logit_weights, cost_values
+from .model import Scenario, _check_fit, _integral, _logit_weights, cost_values
 
 GENERATOR = "numpy.random.PCG64DXSM"  # the label appends the walk, /steps or /events
 # Most replications per lane of the per-step walk; an event lane and a block
@@ -109,16 +109,13 @@ def _policy_tables(scenario: Scenario, policy: PricePolicy, arrival_rate: float)
         raise ValueError("policy offers a slot that is at capacity")
     table = np.empty((scenario.horizon, scenario.n_slots, scenario.lattice.n_states))
     steps = max(1, -(-_CHUNK // 4) // (scenario.n_slots * scenario.lattice.n_states))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(0, scenario.horizon, steps):
-            block = slice(t, t + steps)
-            cum, total = _logit_weights(
-                scenario, prices[block], open_mask[block], errstate_held=True
-            )
-            cum *= arrival_rate
-            total += 1.0
-            cum /= total[..., np.newaxis]
-            np.cumsum(cum, axis=2, out=table[block].transpose(0, 2, 1))
+    for t in range(0, scenario.horizon, steps):
+        block = slice(t, t + steps)
+        cum, total = _logit_weights(scenario, prices[block], open_mask[block])
+        cum *= arrival_rate
+        total += 1.0
+        cum /= total[..., np.newaxis]
+        np.cumsum(cum, axis=2, out=table[block].transpose(0, 2, 1))
     return table
 
 
@@ -226,13 +223,11 @@ def simulate(
         raise ValueError(f"arrival_rate must be a real number, got {arrival_rate!r}")
     if not 0.0 <= lam < 1.0:
         raise ValueError("arrival rate override must lie in [0, 1)")
-    if policy.fingerprint != scenario.fingerprint():
-        raise ValueError("policy was computed for a different scenario")
-    if policy.horizon != scenario.horizon:
-        raise ValueError("policy horizon does not match the scenario")
     lat = scenario.lattice
     horizon = scenario.horizon
     n_slots = scenario.n_slots
+    shape = (horizon, lat.n_states, n_slots)
+    _check_fit(scenario, "policy", policy.fingerprint, policy.prices, shape)
     costs = cost_values(scenario)
     thresholds = _policy_tables(scenario, policy, lam)  # [t, -1]: sale probability
     bound = thresholds[:, -1].max(axis=0) if horizon else np.zeros(lat.n_states)

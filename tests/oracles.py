@@ -177,15 +177,14 @@ def best_open_set(scenario, state, v_next):
 def stage_w_calls(scenario, state, v_next, interior):
     """Lambert W calls the layer solver owes one stage, or None near a tie.
 
-    An interior stage makes one. Otherwise the solver walks the all-open set,
-    unless every slot sits at ``price_max`` there (a capped stage). When that
-    walk leaves a slot at ``price_max`` whose margin ``a_j + price_max``, with
-    ``a_j = net_revenue - z_j``, lies below the surplus rate, it also walks
-    each nested closure, for k = 1 .. n: the feasible slots whose ``a_j`` is
-    above the k-th least stay open, if any. Every walked set whose optimum
-    has a price strictly inside the box makes one call. The sets are priced
-    by ``bisect_stage_markup``; a price or margin within 1e-9 of the
-    decision gives None.
+    An interior stage makes one. Otherwise the solver settles the all-open
+    set: a capped set, every slot at ``price_max``, owes none, and any other
+    owes one call if its optimum has a price strictly inside the box. When
+    a slot's margin ``a_j + price_max``, with ``a_j = net_revenue - z_j``,
+    lies below the set's surplus rate, the slots whose margin is not below
+    it are settled again the same way, and so on; an empty set owes none.
+    The sets are priced by ``bisect_stage_markup``; a price or margin within
+    1e-9 of the decision gives None.
     """
     if interior:
         return 1
@@ -195,30 +194,23 @@ def stage_w_calls(scenario, state, v_next, interior):
     feasible = _feasible(scenario, state)
     a = {s: scenario.net_revenue - float(v_next[ix] - v_next[ix + lat.strides[s - 1]]) for s in feasible}
 
-    def walk(subset):
-        """(capped, calls, value) of one open set, or None if a price is near an edge."""
+    def settle(subset):
+        """Calls owed by one open set and the sets it keeps, or None near a tie."""
+        if not subset:
+            return 0
         prices, value = bisect_stage_markup(scenario, state, v_next, subset)
         if any(0.0 < min(d - lo, hi - d) <= 1e-9 for d in prices):
             return None
-        return all(d == hi for d in prices), int(any(lo < d < hi for d in prices)), value
+        if all(d == hi for d in prices):
+            return 0
+        rate = (value - float(v_next[ix])) / scenario.arrival_rate
+        if any(abs(a[s] + hi - rate) <= 1e-9 for s in subset):
+            return None
+        kept = [s for s in subset if a[s] + hi >= rate]
+        rest = settle(kept) if len(kept) < len(subset) else 0
+        return None if rest is None else int(any(lo < d < hi for d in prices)) + rest
 
-    first = walk(feasible)
-    if first is None:
-        return None
-    capped, calls, value = first
-    if capped:
-        return 0
-    gap = (value - float(v_next[ix])) / scenario.arrival_rate - (min(a.values()) + hi)
-    if abs(gap) <= 1e-9:
-        return None
-    if gap > 0.0:
-        for kth in sorted(a.values()):
-            kept = [s for s in feasible if a[s] > kth]
-            nested = walk(kept) if kept else (True, 0, None)  # all closed: no walk
-            if nested is None:
-                return None
-            calls += nested[1]
-    return calls
+    return settle(feasible)
 
 
 def lp_concavity_margin(scenario, values) -> float:

@@ -11,6 +11,7 @@ from oracles import (
     best_open_set,
     clamped_three_slot_scenario,
     grid_stage_value,
+    random_scenario,
     random_table_cost_scenario,
     stage_w_calls,
 )
@@ -365,3 +366,64 @@ def test_policy_factories(table1):
     assert sol.prices == (None, 2.0)
     with pytest.raises(ValueError, match="outside"):
         sp.PricePolicy.constant_price(table1, 2.5)
+
+
+@pytest.mark.parametrize(
+    "call, table, message",
+    [
+        (sp.policy_from_values, "narrow values", r"value function has shape \(201, 20\), expected \(201, 25\)"),
+        (sp.concavity_report, "narrow values", r"value function has shape \(201, 20\)"),
+        (sp.policy_from_values, "nan values", "value function holds a value that is not finite"),
+        (sp.concavity_report, "nan values", "value function holds a value that is not finite"),
+        (lambda s, p: sp.simulate(s, p, 10, seed=1), "narrow policy", r"policy has shape \(200, 20, 2\)"),
+    ],
+    ids=["extract-shape", "concavity-shape", "extract-nan", "concavity-nan", "simulate-shape"],
+)
+def test_tables_handed_in_must_fit_the_scenario(table1, call, table, message):
+    # the fingerprint matches; the shape or a NaN must still be refused by name
+    fingerprint = table1.fingerprint()
+    nan = np.zeros((201, 25))
+    nan[3, 4] = np.nan
+    tables = {
+        "narrow values": sp.ValueFunction(np.zeros((201, 20)), fingerprint),
+        "nan values": sp.ValueFunction(nan, fingerprint),
+        "narrow policy": sp.PricePolicy(
+            np.full((200, 20, 2), np.nan), np.zeros((200, 20)), np.zeros((200, 20), bool), fingerprint
+        ),
+    }
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(table1, tables[table])
+
+
+def test_closure_certificate_in_every_solved_stage():
+    # Under multinomial logit the best open set closes exactly the feasible
+    # slots whose margin at the cap, a_j + price_max with a_j = net_revenue
+    # - z_j, lies below the stage's surplus rate R = (V_t - V_{t+1}) / lam.
+    # So a closed slot sits at most at R and an open slot at the cap at
+    # least at R, up to the solver's tie allowance 1e-12 * (1 + |R|) plus
+    # the rounding of recovering R and a_j from the value table.
+    rng = np.random.default_rng(6060)
+    closed_seen = capped_seen = 0
+    for k in range(200):
+        if k % 2:
+            scenario = random_scenario(rng, horizon=4)
+        else:
+            scenario = random_table_cost_scenario(rng, horizon=4)
+        values, policy = sp.solve_horizon(scenario)
+        nbr = scenario.lattice.neighbours
+        feasible = nbr >= 0
+        lam, hi = scenario.arrival_rate, scenario.price_max
+        for t in range(1, scenario.horizon + 1):
+            v, v_next = values.layer(t)[:, np.newaxis], values.layer(t + 1)[:, np.newaxis]
+            v_nbr = np.where(feasible, values.layer(t + 1)[nbr], 0.0)
+            rate = (v - v_next) / lam
+            margin = scenario.net_revenue - (v_next - v_nbr) + hi
+            rounding = np.finfo(float).eps * ((abs(v) + abs(v_next) + abs(v_nbr)) / lam + abs(margin))
+            allowance = 1e-12 * (1.0 + abs(rate)) + 8 * rounding
+            prices = policy.prices[t - 1]
+            closed, capped = feasible & np.isnan(prices), prices == hi
+            assert np.all((margin - rate)[closed] <= allowance[closed])
+            assert np.all((rate - margin)[capped] <= allowance[capped])
+            closed_seen += int(closed.sum())
+            capped_seen += int(capped.sum())
+    assert closed_seen > 1000 and capped_seen > 1000, (closed_seen, capped_seen)

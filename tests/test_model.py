@@ -267,6 +267,46 @@ def test_fractional_horizon_is_refused(table1):
     assert type(same.horizon) is int and same.fingerprint() == table1.fingerprint()
 
 
+def test_integer_numbers_keep_the_fingerprint(table1, table1_solution):
+    # ints are stored as floats, so the scenario is table1 and takes its policy
+    same = dataclasses.replace(table1, beta_price=-1, price_min=0)
+    assert type(same.beta_price) is float and type(same.price_min) is float
+    assert same == table1 and same.fingerprint() == table1.fingerprint()
+    result = sp.simulate(same, table1_solution[1], 10, seed=1)
+    assert result.replications == 10
+
+
+def test_list_slot_betas_are_stored_as_a_tuple(table1):
+    same = dataclasses.replace(table1, slot_betas=[1, -1.0])
+    assert same.slot_betas == (1.0, -1.0) and type(same.slot_betas[0]) is float
+    assert hash(same) == hash(table1) and same == table1
+
+
+def test_string_number_is_refused(table1):
+    with pytest.raises(sp.ScenarioError, match="^price_max must be a number"):
+        dataclasses.replace(table1, price_max="2.0")
+    with pytest.raises(sp.ScenarioError, match="^slot 2 beta must be a number"):
+        dataclasses.replace(table1, slot_betas=(1.0, "-1"))
+    with pytest.raises(sp.ScenarioError, match="^cost coefficient 1 must be a number"):
+        sp.AffineCost(2.0, ("1", 2.0))
+
+
+def test_numpy_float_is_stored_as_float(table1):
+    same = dataclasses.replace(table1, arrival_rate=np.float32(0.5), beta_const=np.float64(1.0))
+    assert type(same.arrival_rate) is float and type(same.beta_const) is float
+    assert same.fingerprint() == table1.fingerprint()
+    with pytest.raises(sp.ScenarioError, match="^lambda must be finite"):
+        dataclasses.replace(table1, arrival_rate=np.float32("nan"))
+
+
+def test_bool_number_is_refused(table1):
+    for value in (True, np.True_):
+        with pytest.raises(sp.ScenarioError, match="^price_min must be a number"):
+            dataclasses.replace(table1, price_min=value)
+    with pytest.raises(sp.ScenarioError, match="^cost value 0 must be a number"):
+        sp.TableCost((False,))
+
+
 def test_fractional_state_is_refused(table1, table1_solution):
     # a fractional coordinate must not be read as the state below it
     values, _ = table1_solution

@@ -192,9 +192,13 @@ def concavity_margin(
     reported margin re-evaluates the minimising combination in exact integer
     arithmetic, rounded once, so affine layers yield exactly 0.0.
     States without enclosing combinations contribute nothing; a lattice with
-    none at all returns ``(inf, None)``.
+    none at all returns ``(inf, None)``. The layer must hold one finite value
+    per state, else ``ValueError`` names it.
     """
-    return _worst_margins(scenario, np.asarray(values, dtype=float)[np.newaxis], enclosings)[0]
+    values = np.asarray(values, dtype=float)
+    shape = (scenario.lattice.n_states,)
+    _check_fit(scenario, "value layer", scenario.fingerprint(), values, shape, True)
+    return _worst_margins(scenario, values[np.newaxis], enclosings)[0]
 
 
 def _worst_margins(

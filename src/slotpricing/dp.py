@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Scenario, _check_fit, cost_values, marginal_profit_violations
-from .pricing import OpportunityCosts, StageSolution, _layer, _layer_solve
+from .pricing import OpportunityCosts, StageSolution, _layer, _layer_solve, _solver_errstate
 
 # solve_horizon refuses lattices above this many states rather than thrashing.
 MAX_STATES = 10_000_000
@@ -158,7 +158,11 @@ def bellman_apply(scenario: Scenario, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {scenario.lattice.n_states} values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    return _layer_solve(scenario, v, _layer(scenario, np.arange(scenario.lattice.n_states)))[0]
+    n = scenario.lattice.n_states
+    values, prices = np.empty(n), np.full((n, scenario.n_slots), np.nan)
+    with _solver_errstate():
+        _layer_solve(scenario, v, _layer(scenario, np.arange(n)), values, prices, np.zeros(n, bool))
+    return values
 
 
 def bellman_residual(scenario: Scenario, v: np.ndarray) -> float:
@@ -193,8 +197,9 @@ def solve_horizon(scenario: Scenario) -> tuple[ValueFunction, PricePolicy]:
     prices = np.full((t_bar, lat.n_states, scenario.n_slots), np.nan)
     interior = np.zeros((t_bar, lat.n_states), dtype=bool)
     layer = _layer(scenario, np.arange(lat.n_states))
-    for t in range(t_bar, 0, -1):
-        values[t - 1], prices[t - 1], interior[t - 1] = _layer_solve(scenario, values[t], layer)
+    with _solver_errstate():  # once for the whole loop
+        for t in range(t_bar, 0, -1):
+            _layer_solve(scenario, values[t], layer, values[t - 1], prices[t - 1], interior[t - 1])
     policy = PricePolicy._frozen(prices, values[:t_bar], interior, scenario.fingerprint())
     values.flags.writeable = False
     return ValueFunction(values=values, fingerprint=policy.fingerprint), policy
@@ -210,15 +215,15 @@ def policy_from_values(scenario: Scenario, values: ValueFunction) -> PricePolicy
     """
     t_bar, n, n_slots = scenario.horizon, scenario.lattice.n_states, scenario.n_slots
     _check_fit(scenario, "value function", values.fingerprint, values.values, (t_bar + 1, n), True)
-    out = np.empty(t_bar * n), np.empty((t_bar * n, n_slots)), np.empty(t_bar * n, dtype=bool)
+    out = np.empty(t_bar * n), np.full((t_bar * n, n_slots), np.nan), np.zeros(t_bar * n, bool)
     step = max(1, _BLOCK_BYTES // (8 * n * n_slots))
-    for t0 in range(0, t_bar, step):
-        k = min(step, t_bar - t0)
-        if t0 == 0 or k < step:  # the first block's geometry serves all but a short last one
-            layer = _layer(scenario, np.arange(n), k)
-        solved = _layer_solve(scenario, values.values[t0 + 1 : t0 + k + 1].reshape(-1), layer)
-        for table, block in zip(out, solved):
-            table[t0 * n : (t0 + k) * n] = block
+    with _solver_errstate():  # once for the whole loop
+        for t0 in range(0, t_bar, step):
+            k = min(step, t_bar - t0)
+            if t0 == 0 or k < step:  # the first block's geometry serves all but a short last one
+                layer = _layer(scenario, np.arange(n), k)
+            v_next = values.values[t0 + 1 : t0 + k + 1].reshape(-1)
+            _layer_solve(scenario, v_next, layer, *(a[t0 * n : (t0 + k) * n] for a in out))
     stage_values, prices, interior = (a.reshape((t_bar, n) + a.shape[1:]) for a in out)
     return PricePolicy._frozen(prices, stage_values, interior, scenario.fingerprint())
 

@@ -190,18 +190,19 @@ def stage_objective(
 class _Layer:
     """What stays fixed about a layer of states from one time step to the next.
 
-    ``rows`` are the states of ``scenario``; ``live`` indexes the rows with a
-    slot to offer, ``nbr_live`` and ``o_live`` are those rows' neighbours and
-    offered slots, and ``nan_prices`` is the layer's price table before any
-    row is priced.
+    ``rows`` are the states of ``scenario``, and ``live`` the rows with a slot
+    to offer. In a one-copy layer that is every row but the full state,
+    which is the lattice's last index, so ``live`` is a prefix slice and the
+    scatters by it are views; over several copies it is an index array.
+    ``pairs_live`` gathers, per live row and slot, the row's own state and
+    its neighbour, and ``o_live`` marks the live rows' offered slots.
     """
 
     scenario: Scenario
     rows: np.ndarray
-    live: np.ndarray
-    nbr_live: np.ndarray
+    live: slice | np.ndarray
+    pairs_live: np.ndarray
     o_live: np.ndarray
-    nan_prices: np.ndarray
 
     @cached_property
     def cap(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,25 +220,29 @@ def _layer(scenario: Scenario, rows: np.ndarray, copies: int = 1) -> _Layer:
     """The fixed geometry of the layer of states ``rows``, or of ``copies`` of
     it, copy c reading ``v_next`` from ``c * n_states`` on. Its weights at the
     cap are left to ``_Layer.cap``, so an all-interior layer never builds them."""
-    shift = scenario.lattice.n_states * np.arange(copies)[:, np.newaxis]
-    nbr = scenario.lattice.neighbours[rows]
-    offered = np.tile(nbr >= 0, (copies, 1))
-    nbr = (nbr + shift[..., np.newaxis]).reshape(offered.shape)  # masked where not offered
+    nbr = scenario.lattice.neighbours[rows]  # masked where not offered
+    offered = nbr >= 0
     live = offered.any(axis=1).nonzero()[0]
-    rows = (rows + shift).reshape(-1)
-    return _Layer(scenario, rows, live, nbr[live], offered[live], np.full(nbr.shape, np.nan))
-
-
-def _take(ix: np.ndarray, n: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows ``ix`` (sorted and distinct) of arrays of ``n`` rows; the arrays
-    themselves, not copies, when ``ix`` takes every row."""
-    return arrays if len(ix) == n else tuple(a[ix] for a in arrays)
+    o_live = offered[live]
+    pairs = np.empty((2, copies) + o_live.shape, dtype=nbr.dtype)
+    pairs[0], pairs[1] = rows[live, np.newaxis], nbr[live]
+    if copies == 1:  # only the full state, the lattice's last index, offers nothing
+        return _Layer(scenario, rows, slice(0, len(live)), pairs[:, 0], o_live)
+    copy = np.arange(copies)[:, np.newaxis]
+    pairs += scenario.lattice.n_states * copy[..., np.newaxis]
+    return _Layer(
+        scenario,
+        (rows + scenario.lattice.n_states * copy).reshape(-1),
+        (live + len(rows) * copy).reshape(-1),
+        pairs.reshape(2, -1, o_live.shape[1]),
+        np.tile(o_live, (copies, 1)),
+    )
 
 
 def _walk(scenario: Scenario, ac: np.ndarray, oc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The breakpoint walk: optimal prices (meaningless off ``oc``) and surplus
     rate of rows with open slots ``oc`` and margins ``ac + d`` at prices d.
-    Runs inside the caller's ``np.errstate``; one W per row with a free slot."""
+    Runs inside the caller's ``_solver_errstate()``; one W per row with a free slot."""
     lo, hi, bd, n = scenario.price_min, scenario.price_max, scenario.beta_price, scenario.n_slots
     # The root's interval starts at left = max{b : g(b) >= 0} over the
     # unsorted breakpoints lo + a_j (slot j leaves lo) and hi + a_j (slot j
@@ -250,7 +255,9 @@ def _walk(scenario: Scenario, ac: np.ndarray, oc: np.ndarray) -> tuple[np.ndarra
     s = (u * (ac[:, np.newaxis] + d)).sum(axis=2) / (1.0 + u_sum)  # surplus/lam
     if not np.isfinite(s).all():
         raise ValueError(_OVERFLOW)
-    left = breaks.max(axis=1, where=s - 1.0 / bd >= breaks, initial=-np.inf)
+    # A max is exact, so taking it over a slot-major copy, where numpy
+    # reduces each row's few breakpoints fast, changes no bit.
+    left = np.asfortranarray(np.where(s - 1.0 / bd >= breaks, breaks, -np.inf)).max(axis=1)
     passed = breaks <= left[:, np.newaxis]  # never a closed slot's +inf
     at_hi = passed[:, n:]
     free = passed[:, :n] ^ at_hi  # lo + a_j <= hi + a_j
@@ -281,16 +288,27 @@ def _cap_weights(scenario: Scenario, offered: np.ndarray) -> tuple[np.ndarray, n
     return u, 1.0 + u_sum
 
 
-def _settle(scenario: Scenario, a: np.ndarray, o: np.ndarray, cap) -> tuple[np.ndarray, ...]:
-    """Prices (NaN off ``o``), gains and interior flags of rows with margins
-    ``a + d`` at prices d on open slots ``o``; ``cap()`` gives the rows'
-    weights at ``price_max`` and one plus their sums, and is called only when
-    a row is not interior. Runs inside the caller's ``np.errstate``."""
+def _take(ix: slice | np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows ``ix`` of ``arrays``; the arrays themselves when ``ix`` is every
+    row, ``slice(None)``."""
+    return arrays if isinstance(ix, slice) else tuple(a[ix] for a in arrays)
+
+
+def _settle(
+    scenario: Scenario, a: np.ndarray, o: np.ndarray, cap, capped: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, ...]:
+    """Prices (NaN off ``o``), gains and interior flags (None when no row is
+    interior) of rows with margins ``a + d`` at prices d on open slots ``o``;
+    ``cap()`` gives the rows' weights at ``price_max`` and one plus their
+    sums, and is called only when a row is not interior. Rows marked
+    ``capped`` are known to stay capped, so they skip the interior pass. A
+    pass that takes every row indexes by ``slice(None)``: it reads the arrays
+    themselves and sets no fancy index, and when no row is interior the rest
+    take no ``nonzero``. Runs inside the caller's ``_solver_errstate()``."""
     lam, bd = scenario.arrival_rate, scenario.beta_price
     lo, hi = scenario.price_min, scenario.price_max
     n_rows = len(a)
-    prices, gain = np.empty(a.shape), np.empty(n_rows)
-    inside = np.zeros(n_rows, dtype=bool)
+    prices, inside = np.where(o, hi, np.nan), None  # a row that is not interior starts capped
     # The closed-form prices -(1 + W(y))/bd - a_j lie in the box exactly
     # when c_lo <= W(y) <= c_hi, with c = -bd * (edge + a_j) - 1 at the
     # largest a_j for lo and the smallest for hi. W is increasing, at
@@ -304,24 +322,28 @@ def _settle(scenario: Scenario, a: np.ndarray, o: np.ndarray, cap) -> tuple[np.n
     # slot-major copy keeps their reductions over each row's few slots fast.
     ends = np.asfortranarray(np.where(o, a, np.nan))
     a_min, a_max = np.fmin.reduce(ends, axis=1), np.fmax.reduce(ends, axis=1)
-    c_hi = -bd * a_min - (bd * hi + 1.0)
-    cand = (c_hi >= 0.0).nonzero()[0]
-    if len(cand):
-        ac, oc, c_top, a_top = _take(cand, n_rows, a, o, c_hi, a_max)
+    screened = -bd * a_min >= bd * hi + 1.0  # c_hi >= 0: x - k >= 0 exactly when x >= k
+    if capped is not None:
+        screened &= ~capped
+    out = slice(None)  # the rows that are not interior: every row, unless one is
+    if screened.any():
+        cand = screened.nonzero()[0]
+        if len(cand) == n_rows:
+            cand = slice(None)
+        ac, oc, a_low, a_top = _take(cand, a, o, a_min, a_max)
         y = _logit_weights(scenario, -ac, oc, -1.0)[1]
-        c_lo = -bd * a_top - (bd * lo + 1.0)
-        ins = (y <= c_top * np.exp(c_top)) & (y >= c_lo * np.exp(c_lo))
+        c_hi, c_lo = -bd * a_low - (bd * hi + 1.0), -bd * a_top - (bd * lo + 1.0)
+        ins = (y <= c_hi * np.exp(c_hi)) & (y >= c_lo * np.exp(c_lo))
         if ins.any():
-            w = np.zeros(len(cand))
+            w = np.zeros(len(ac))
             w[ins] = [lambert_w0(x) for x in y[ins].tolist()]
             # the candidates that are not interior are priced again below
-            p_cand, g_cand = (-(1.0 + w) / bd)[:, np.newaxis] - ac, -lam / bd * w
-            if len(cand) == n_rows:
-                prices, gain, inside = p_cand, g_cand, ins
-            else:
-                prices[cand], gain[cand], inside[cand] = p_cand, g_cand, ins
-    out = (~inside).nonzero()[0]
-    if len(out):
+            p_cand = (-(1.0 + w) / bd)[:, np.newaxis] - ac
+            prices[cand] = np.where(oc & ins[:, np.newaxis], p_cand, prices[cand])
+            gain, inside = np.empty(n_rows), np.zeros(n_rows, dtype=bool)
+            gain[cand], inside[cand] = -lam / bd * w, ins
+            out = (~inside).nonzero()[0]
+    if isinstance(out, slice) or len(out):
         # Off the box the optimum is still d_j = clamp(m - a_j) for one
         # markup m, the unique root of g(m) = surplus/lam - 1/bd - m; g is
         # positive left of it and negative right of it. Every slot sits
@@ -330,64 +352,81 @@ def _settle(scenario: Scenario, a: np.ndarray, o: np.ndarray, cap) -> tuple[np.n
         # formulas of the walk have no free slot and W = 0, and the gain
         # is lam * s_hi. An s_hi that overflows to inf fails the final
         # finiteness check; a NaN one is not capped, and the walk raises.
-        ac, oc, u, k_hi, a_top, a_low = _take(out, n_rows, a, o, *cap(), a_max, a_min)
+        ac, oc, u, k_hi, a_top, a_low = _take(out, a, o, *cap(), a_max, a_min)
         rate = (u * (ac + hi)).sum(axis=1) / k_hi  # s_hi
-        capped = rate - 1.0 / bd >= hi + a_top
-        prices[out] = hi
-        if not capped.all():
-            walked = ~capped
-            prices[out[walked]], rate[walked] = _walk(scenario, ac[walked], oc[walked])
-        gain[out] = lam * rate
+        at_cap = rate - 1.0 / bd >= hi + a_top
+        if not at_cap.all():
+            walked = ~at_cap
+            rows = np.arange(n_rows)[out][walked]
+            oc_walked = oc[walked]
+            p_walked, rate[walked] = _walk(scenario, ac[walked], oc_walked)
+            prices[rows] = np.where(oc_walked, p_walked, np.nan)
+        if inside is None:
+            gain = lam * rate
+        else:
+            gain[out] = lam * rate
         # Only a slot at hi can have a margin below the rate, and a row
         # closes every such slot at once; the rate only rises, and the
         # reduced set is settled again, at most once per slot. A capped
-        # row stays capped and needs no W.
+        # row stays capped: it needs no W and skips the interior pass.
         near = a_low + hi < rate - 1e-12  # the tie allowance is at least 1e-12
         if near.any():
             shut = near & _below(a_low + hi, rate)
-            rows = out[shut]
+            rows = np.arange(n_rows)[out][shut]
             kept = oc[shut] & ~_below(ac[shut] + hi, rate[shut, np.newaxis])
             prices[rows], gain[rows], _ = _settle(
-                scenario, ac[shut], kept, lambda: _cap_weights(scenario, kept)
+                scenario, ac[shut], kept, lambda: _cap_weights(scenario, kept), at_cap[shut]
             )
-    return np.where(o, prices, np.nan), gain, inside
+    return prices, gain, inside
+
+
+def _solver_errstate() -> np.errstate:
+    """The ``np.errstate`` each caller of ``_layer_solve`` holds once around
+    its whole solve: an overflow or invalid operation leaves an inf or a NaN,
+    which the solver's finiteness checks turn into its ``ValueError``."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _layer_solve(
-    scenario: Scenario, v_next: np.ndarray, layer: _Layer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage values, prices and interior flags of the states ``layer.rows``, as arrays.
+    scenario: Scenario,
+    v_next: np.ndarray,
+    layer: _Layer,
+    values: np.ndarray,
+    prices: np.ndarray,
+    interior: np.ndarray,
+) -> None:
+    """Fill the rows ``values``, ``prices`` and ``interior`` of a caller's
+    tables, in place, for the states ``layer.rows``.
 
-    ``v_next`` holds the finite next-step values of every state. Row i of the
-    result belongs to state ``layer.rows[i]``: its stage value, its prices
-    (NaN on full and closed slots) and whether the closed-form prices fell
-    inside the box. A state with every slot full keeps ``v_next`` and is not
-    interior. The rows are settled in three passes: the interior rows by the
-    closed form, one Lambert W each; then the capped rows, where every
-    offered slot charges ``price_max``, in closed form with no Lambert W; then
-    the breakpoint walk on the rest, with one Lambert W per walk that has a
-    price strictly inside the box. A screen on the box's upper edge comes
-    first, and only the rows that pass it get Lambert W arguments; the capped
-    test reads the layer's weights at the cap. A pass that takes every live
-    row works on the layer's own arrays, not on copies. Then one closure
-    rule: a row that is not interior closes every slot whose margin at the
-    cap lies below its surplus rate, and the same passes settle the rest
-    again, with cap weights built for it (see ``solve_stage``).
+    ``v_next`` holds the finite next-step values of every state. Row i
+    belongs to state ``layer.rows[i]``: its stage value, its prices (NaN on
+    full and closed slots) and whether the closed-form prices fell inside the
+    box. A state with every slot full keeps ``v_next``. Prices and flags the
+    solve does not set are left as they are, so callers hand in NaN and False.
+    Runs inside the caller's ``_solver_errstate()``, held once for a whole
+    solve. The rows are settled in three passes: the
+    interior rows by the closed form, one Lambert W each; then the capped
+    rows, where every offered slot charges ``price_max``, in closed form with
+    no Lambert W; then the breakpoint walk on the rest, with one Lambert W
+    per walk that has a price strictly inside the box. A screen on the box's
+    upper edge comes first, and only the rows that pass it get Lambert W
+    arguments; the capped test reads the layer's weights at the cap. Then one
+    closure rule: a row that is not interior closes every slot whose margin
+    at the cap lies below its surplus rate, and the same passes settle the
+    rest again, with cap weights built for it (see ``solve_stage``); a capped
+    row skips the interior pass there.
     """
     live, o_live = layer.live, layer.o_live
-    values = v_next[layer.rows]
-    z_live = values[live][:, np.newaxis] - v_next[layer.nbr_live]
-    a_live = np.where(o_live, scenario.net_revenue - z_live, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prices, gain, inside = _settle(scenario, a_live, o_live, lambda: layer.cap)
-        values[live] += gain
+    values[:] = v_next[layer.rows]
+    here, there = v_next[layer.pairs_live]
+    a_live = np.where(o_live, scenario.net_revenue - (here - there), 0.0)
+    settled, gain, inside = _settle(scenario, a_live, o_live, lambda: layer.cap)
+    values[live] += gain
     if not np.isfinite(values).all():
         raise ValueError(_OVERFLOW)
-    layer_prices = layer.nan_prices.copy()
-    layer_prices[live] = prices
-    interior = np.zeros(len(values), dtype=bool)
-    interior[live] = inside
-    return values, layer_prices, interior
+    prices[live] = settled
+    if inside is not None:
+        interior[live] = inside
 
 
 def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) -> StageSolution:
@@ -414,8 +453,10 @@ def solve_stage(scenario: Scenario, state: Sequence[int], v_next: np.ndarray) ->
     v_next = np.asarray(v_next, dtype=float)
     if not (math.isfinite(v_next[ix]) and np.isfinite(v_next[nbr[nbr >= 0]]).all()):
         raise ValueError("next-step values must be finite")
-    layer = _layer(scenario, np.array([ix]))
-    values, prices, interior = _layer_solve(scenario, v_next, layer)
+    values, prices = np.empty(1), np.full((1, scenario.n_slots), np.nan)
+    interior = np.zeros(1, dtype=bool)
+    with _solver_errstate():
+        _layer_solve(scenario, v_next, _layer(scenario, np.array([ix])), values, prices, interior)
     return StageSolution(
         prices=tuple(None if math.isnan(d) else d for d in prices[0].tolist()),
         value=float(values[0]),

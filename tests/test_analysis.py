@@ -292,6 +292,19 @@ def test_margin_fingerprint_guard(table1, table1_enclosings):
         sp.concavity_margin(other, sp.terminal_values(other), table1_enclosings)
 
 
+def test_margin_refuses_a_layer_with_a_nan(table1, table1_enclosings):
+    values = sp.terminal_values(table1).copy()
+    values[7] = math.nan
+    with pytest.raises(ValueError, match="value layer holds a value that is not finite"):
+        sp.concavity_margin(table1, values, table1_enclosings)
+
+
+def test_margin_refuses_a_layer_of_the_wrong_length(table1, table1_enclosings):
+    values = sp.terminal_values(table1)[:20]
+    with pytest.raises(ValueError, match=r"value layer has shape \(20,\), expected \(25,\)"):
+        sp.concavity_margin(table1, values, table1_enclosings)
+
+
 # ---------------------------------------------------------------------------
 # report over the horizon
 # ---------------------------------------------------------------------------

@@ -374,7 +374,7 @@ def _assert_stage_matches_oracle_and_layer(scenario, state, v_next):
 
 
 @pytest.mark.filterwarnings("error")
-def test_solve_stage_interior_test_beyond_the_float_range(table1):
+def test_solve_stage_interior_test_beyond_the_float_range(table1, monkeypatch):
     # The interior test compares the W argument y with c e^c at the box's
     # edges. With beta_price -1 and price_max 800, c is near 800 and e^c
     # overflows to inf, which must read as no bound; a box above 710 cannot
@@ -391,6 +391,20 @@ def test_solve_stage_interior_test_beyond_the_float_range(table1):
                 assert offered == pytest.approx(sp.unconstrained_prices(scenario, opp), abs=1e-12)
             else:
                 assert offered == [lo] * len(offered)
+        # Every caller of the layer solver holds its errstate for the whole
+        # loop, so the overflowing e^c warns nowhere: the backward induction,
+        # and the policy read off its table in 1-step and whole-horizon
+        # blocks, bit for bit the same.
+        short = dataclasses.replace(scenario, horizon=6)
+        values, policy = sp.solve_horizon(short)
+        assert (policy.interior[:, :-1] == interior).all()
+        layer_bytes = 8 * short.lattice.n_states * short.n_slots
+        for steps in (1, short.horizon):
+            monkeypatch.setattr(sp.dp, "_BLOCK_BYTES", steps * layer_bytes)
+            extracted = sp.policy_from_values(short, values)
+            assert np.array_equal(extracted.prices, policy.prices, equal_nan=True)
+            assert np.array_equal(extracted.values, policy.values)
+            assert np.array_equal(extracted.interior, policy.interior)
     # Opportunity costs of 1000 underflow every weight, so y is 0 and c e^c
     # is -0.0; W(0) = 0 would put the closed-form prices near 1000. Every
     # margin is then near -1000, so the stage closes both slots.
@@ -432,6 +446,34 @@ def test_layer_of_interior_capped_and_walked_rows_matches_each_stage(table1):
         kinds["walked"] += not (sol.interior or capped)
         kinds["closing"] += len(offered) < len(opp.slots)
     assert kinds == {"screened": 19, "interior": 3, "capped": 16, "walked": 5, "closing": 4}
+
+
+def test_capped_stage_that_closes_slots_builds_no_second_w_argument(table1, monkeypatch):
+    # A capped row that closes the slots below its surplus rate stays
+    # capped, so the closure settles it again without the interior test:
+    # once the weights at price_max are built, the logit kernel gets no
+    # Lambert W argument (log offset -1). The layer of the test above.
+    scenario = dataclasses.replace(table1, horizon=1)
+    states = scenario.lattice.states_array
+    v_next = -(states @ np.array([0.5, 1.0])) - 0.2 * (states**2).sum(axis=1)
+    kernel, offsets = sp.pricing._logit_weights, []
+
+    def counted(scenario, prices, offered, log_offset=0.0):
+        offsets.append(log_offset)
+        return kernel(scenario, prices, offered, log_offset)
+
+    monkeypatch.setattr(sp.pricing, "_logit_weights", counted)
+    closing = 0
+    for state in scenario.lattice.states():
+        offsets.clear()
+        sol = sp.solve_stage(scenario, state, v_next)
+        offered = [d for d in sol.prices if d is not None]
+        opp = sp.opportunity_costs(scenario, v_next, state)
+        if sol.interior or len(offered) == len(opp.slots) or offered != [2.0] * len(offered):
+            continue
+        closing += 1
+        assert -1.0 not in offsets[offsets.index(0.0) :], (state, offsets)
+    assert closing == 2
 
 
 def test_solve_stage_breakpoint_tie_between_lo_and_hi():

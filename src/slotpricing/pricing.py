@@ -218,8 +218,9 @@ class _Layer:
 
 def _layer(scenario: Scenario, rows: np.ndarray, copies: int = 1) -> _Layer:
     """The fixed geometry of the layer of states ``rows``, or of ``copies`` of
-    it, copy c reading ``v_next`` from ``c * n_states`` on. Its weights at the
-    cap are left to ``_Layer.cap``, so an all-interior layer never builds them."""
+    it, copy c reading ``v_next`` from ``c * n_states`` on; one copy keeps its
+    live rows as a prefix slice. Its weights at the cap are left to
+    ``_Layer.cap``, so an all-interior layer never builds them."""
     nbr = scenario.lattice.neighbours[rows]  # masked where not offered
     offered = nbr >= 0
     live = offered.any(axis=1).nonzero()[0]
